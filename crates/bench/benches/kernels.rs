@@ -468,29 +468,8 @@ struct SearchSetup {
 }
 
 impl SearchSetup {
-    fn run(&self, incremental: bool, iterations: usize) {
-        let best = find_optimal_target_graph(
-            &self.graph,
-            &Default::default(),
-            &self.tree_edges,
-            &self.sc,
-            &self.tc,
-            &self.source,
-            &self.target,
-            &Constraints::unbounded(),
-            &McmcConfig {
-                iterations,
-                seed: 17,
-                incremental,
-                ..McmcConfig::default()
-            },
-        )
-        .unwrap();
-        black_box(best);
-    }
-
-    /// A multi-chain search (chains = 1 is exactly the historical single
-    /// walk) with an explicit seed, on the incremental engine.
+    /// A multi-chain search (chains = 1 is exactly the single seeded walk)
+    /// with an explicit seed.
     fn run_seeded(&self, seed: u64, chains: usize, iterations: usize) {
         let best = find_optimal_target_graph(
             &self.graph,
@@ -561,10 +540,7 @@ fn two_key_tables() -> Vec<Table> {
 
 /// The two-key graph the MCMC unit tests search: two instances sharing a
 /// correlation-preserving and a correlation-killing join attribute.
-/// `caps` sets both evaluation-cache bounds — 0 builds the cache-disabled
-/// graph the uncached arms measure (the genuine pre-PR path, where every
-/// evaluation recomputes its projections and prices).
-fn two_key_setup(workers: usize, caps: usize) -> SearchSetup {
+fn two_key_setup(workers: usize) -> SearchSetup {
     let tables = two_key_tables();
     let graph = JoinGraph::build(
         metas_of(&tables),
@@ -572,8 +548,6 @@ fn two_key_setup(workers: usize, caps: usize) -> SearchSetup {
         EntropyPricing::default(),
         &JoinGraphConfig {
             executor: Executor::new(workers),
-            sel_cache_cap: caps,
-            proj_cache_cap: caps,
             ..JoinGraphConfig::default()
         },
     )
@@ -594,10 +568,9 @@ fn two_key_setup(workers: usize, caps: usize) -> SearchSetup {
 
 /// Scale-100 TPC-H: `lineitem ⋈ partsupp` over the shared
 /// `{partkey, suppkey}` pair (3 candidate join sets), `l_quantity` as the
-/// source side and `ps_availqty` as the target. `caps` as in
-/// [`two_key_setup`]; `ts` is the pre-generated catalog (so the cached and
-/// uncached graphs share one generation pass).
-fn tpch_search_setup(workers: usize, caps: usize, ts: &[Table]) -> SearchSetup {
+/// source side and `ps_availqty` as the target. `ts` is the pre-generated
+/// catalog (so every setup shares one generation pass).
+fn tpch_search_setup(workers: usize, ts: &[Table]) -> SearchSetup {
     let tables = vec![
         by_name(ts, "lineitem").clone(),
         by_name(ts, "partsupp").clone(),
@@ -608,8 +581,6 @@ fn tpch_search_setup(workers: usize, caps: usize, ts: &[Table]) -> SearchSetup {
         EntropyPricing::default(),
         &JoinGraphConfig {
             executor: Executor::new(workers),
-            sel_cache_cap: caps,
-            proj_cache_cap: caps,
             ..JoinGraphConfig::default()
         },
     )
@@ -633,63 +604,47 @@ fn tpch_search_setup(workers: usize, caps: usize, ts: &[Table]) -> SearchSetup {
 }
 
 /// `find_optimal_target_graph` throughput (a full seeded walk per
-/// iteration): the uncached reference path vs the incremental engine with
-/// cold caches (cleared per iteration) vs warm caches (persisting across
-/// iterations — the steady state of `Dance::search`), at 1 and 4 workers,
-/// on the two-key toy graph and a scale-100 TPC-H pair.
+/// iteration): cold evaluation caches (cleared per iteration) vs warm caches
+/// (persisting across iterations — the steady state of `Dance::search`), at
+/// 1 and 4 workers, on the two-key toy graph and a scale-100 TPC-H pair.
 fn bench_mcmc_search(c: &mut Criterion) {
     let mut g = c.benchmark_group("mcmc_search");
     let ts = par_tables();
     for workers in [1usize, 4] {
-        // The uncached arm runs on a cache-disabled graph (caps 0): with the
-        // evaluation caches off, evaluate_assignment recomputes projections
-        // and prices per proposal — the genuine pre-PR reference path.
-        let two_key_plain = two_key_setup(workers, 0);
-        let two_key = two_key_setup(workers, dance_core::DEFAULT_SEL_CACHE_CAP);
+        let two_key = two_key_setup(workers);
         let iters = 40;
-        g.bench_with_input(
-            BenchmarkId::new("two_key_uncached", format!("{workers}w")),
-            &two_key_plain,
-            |b, s| b.iter(|| s.run(false, iters)),
-        );
         g.bench_with_input(
             BenchmarkId::new("two_key_cold", format!("{workers}w")),
             &two_key,
             |b, s| {
                 b.iter(|| {
                     s.graph.clear_eval_caches();
-                    s.run(true, iters)
+                    s.run_seeded(17, 1, iters)
                 })
             },
         );
         g.bench_with_input(
             BenchmarkId::new("two_key_warm", format!("{workers}w")),
             &two_key,
-            |b, s| b.iter(|| s.run(true, iters)),
+            |b, s| b.iter(|| s.run_seeded(17, 1, iters)),
         );
 
-        let tpch_plain = tpch_search_setup(workers, 0, &ts);
-        let tpch = tpch_search_setup(workers, dance_core::DEFAULT_SEL_CACHE_CAP, &ts);
+        let tpch = tpch_search_setup(workers, &ts);
         let iters = 8;
-        g.bench_with_input(
-            BenchmarkId::new("tpch_li_ps_uncached", format!("{workers}w")),
-            &tpch_plain,
-            |b, s| b.iter(|| s.run(false, iters)),
-        );
         g.bench_with_input(
             BenchmarkId::new("tpch_li_ps_cold", format!("{workers}w")),
             &tpch,
             |b, s| {
                 b.iter(|| {
                     s.graph.clear_eval_caches();
-                    s.run(true, iters)
+                    s.run_seeded(17, 1, iters)
                 })
             },
         );
         g.bench_with_input(
             BenchmarkId::new("tpch_li_ps_warm", format!("{workers}w")),
             &tpch,
-            |b, s| b.iter(|| s.run(true, iters)),
+            |b, s| b.iter(|| s.run_seeded(17, 1, iters)),
         );
     }
     g.finish();
@@ -710,8 +665,8 @@ fn bench_mcmc_multichain(c: &mut Criterion) {
     let mut g = c.benchmark_group("mcmc_multichain");
     let ts = par_tables();
     for workers in [1usize, 4] {
-        let two_key = two_key_setup(workers, dance_core::DEFAULT_SEL_CACHE_CAP);
-        let tpch = tpch_search_setup(workers, dance_core::DEFAULT_SEL_CACHE_CAP, &ts);
+        let two_key = two_key_setup(workers);
+        let tpch = tpch_search_setup(workers, &ts);
         for chains in [1usize, 2, 4, 8] {
             g.bench_with_input(
                 BenchmarkId::new("two_key", format!("{chains}c{workers}w")),
@@ -901,7 +856,7 @@ fn bench_session_service(c: &mut Criterion) {
             EntropyPricing::default(),
         ));
         let mgr = SessionManager::new(Arc::clone(&market), SessionManagerConfig::default());
-        let setup = two_key_setup(workers, dance_core::DEFAULT_SEL_CACHE_CAP);
+        let setup = two_key_setup(workers);
         let base = market.full_table_for_evaluation(DatasetId(0)).unwrap();
         let fwd = churn_delta(&base, 0.01, 0.01, 42);
         let bwd = fwd.inverse(&base).unwrap();

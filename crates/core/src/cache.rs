@@ -1,9 +1,12 @@
-//! Stamped-LRU bounded maps — the one eviction discipline every evaluation
-//! cache in this crate shares (mirroring the join graph's `hist_cache_cap`):
-//! every read bumps a monotone use-stamp, inserts trim the map back to its
-//! cap by evicting the smallest stamp first, and a miss simply means the
-//! caller recomputes. Stamps are unique, so eviction order is deterministic
-//! for a deterministic access sequence.
+//! Stamped-LRU bounded maps — the one cache type of this crate. The join
+//! graph's histogram and partial-sum caches and the MCMC engine's per-walk
+//! pair-selection handles are [`StampedLru`]s (single owner); the
+//! selection, projection/price and per-search evaluation-memo caches are
+//! [`ShardedLru`]s (shared across threads). Every read bumps a monotone
+//! use-stamp, inserts trim the map back to its cap by evicting the smallest
+//! stamp first, and a miss simply means the caller recomputes. Stamps are
+//! unique, so eviction order is deterministic for a deterministic access
+//! sequence.
 
 use dance_relation::hash::stable_hash64;
 use dance_relation::FxHashMap;

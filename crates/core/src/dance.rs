@@ -24,8 +24,8 @@
 //! proposals *and* across `search` calls, and [`Dance::refine`] invalidates
 //! exactly the refreshed instances' entries via
 //! [`JoinGraph::refresh_sample`]. Caching never changes a search result —
-//! plans, metrics and seeded reports are byte-identical with
-//! `McmcConfig::incremental` on or off.
+//! every state the walk visits is bit-identical to its uncached
+//! [`evaluate_assignment`], the reference the tests pin the engine against.
 
 use crate::igraph::minimal_igraph;
 use crate::join_graph::{JoinGraph, JoinGraphConfig};

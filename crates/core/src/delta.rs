@@ -28,9 +28,9 @@
 //! selections, same downstream seeded search results. The win is purely
 //! algorithmic — O(delta) patching instead of O(sample) recounting.
 
-use crate::join_graph::{fill_hist_cache, touch_hist_cache, trim_hist_cache, JoinGraph};
-use dance_info::ji::{ji_from_sym_counts, PairPartials};
-use dance_relation::{AttrSet, FxHashMap, FxHashSet, Result, SymKey, TableDelta};
+use crate::join_graph::JoinGraph;
+use dance_info::ji::PairPartials;
+use dance_relation::{AttrSet, FxHashMap, Result, SymKey, TableDelta};
 use std::sync::Arc;
 
 impl JoinGraph {
@@ -42,8 +42,10 @@ impl JoinGraph {
     /// that evaluation-cache entries touching `i` are patched to the new
     /// sample generation instead of evicted, and histograms are patched
     /// instead of recounted. An empty delta is a no-op (the generation does
-    /// not move, so every cache entry stays warm).
+    /// not move, so every cache entry stays warm); an out-of-range `i` is
+    /// `UnknownDataset`, with nothing changed.
     pub fn apply_delta(&mut self, i: u32, delta: &TableDelta) -> Result<()> {
+        self.check_instance(i)?;
         if delta.is_empty() {
             return Ok(());
         }
@@ -59,14 +61,19 @@ impl JoinGraph {
         // sees the final code space and interns nothing new.
         let after = self.samples[ii].apply_delta(delta)?;
 
-        // Patch every cached histogram of the instance in place, collecting
-        // the per-candidate net change lists the partial-sum tables fold.
+        // Patch every cached histogram of the instance, collecting the
+        // per-candidate net change lists the partial-sum tables fold. The
+        // histograms are drained and re-inserted only once all are patched,
+        // so a failed patch leaves none of them stale. The cache holds the
+        // only handle outside a round, so `make_mut` patches in place.
         let mut changed: FxHashMap<AttrSet, Vec<(SymKey, i64)>> = FxHashMap::default();
-        {
-            let before = &self.samples[ii];
-            for (cand, entry) in self.hists[ii].iter_mut() {
-                changed.insert(cand.clone(), entry.hist.apply_delta(before, cand, delta)?);
-            }
+        let mut patched = self.hists.take_matching(|&(v, _)| v == i);
+        for ((_, cand), hist) in &mut patched {
+            let ch = Arc::make_mut(hist).apply_delta(&self.samples[ii], cand, delta)?;
+            changed.insert(cand.clone(), ch);
+        }
+        for (key, hist) in patched {
+            self.hists.insert(key, hist);
         }
 
         // Patch cached pair selections touching `i` and re-key them to the
@@ -110,46 +117,15 @@ impl JoinGraph {
         self.gens[ii] = gen_new;
         self.proj_cache.retain(|&(v, _, _)| v != i);
 
-        // Cold-start any incident histogram the LRU bound evicted since it
-        // was last probed (same deterministic enumeration as a refresh);
-        // everything else was patched above and only gets its stamp bumped.
-        let exec = self.exec;
-        let incident: Vec<u32> = self.adj[ii].clone();
-        let mut used: Vec<(u32, AttrSet)> = Vec::new();
-        let mut needed: Vec<(u32, AttrSet)> = Vec::new();
-        let mut seen: FxHashSet<(u32, AttrSet)> = FxHashSet::default();
-        for &e in &incident {
-            let edge = &self.i_edges[e as usize];
-            for cand in &self.candidates[e as usize] {
-                for side in [edge.a, edge.b] {
-                    if !seen.insert((side, cand.clone())) {
-                        continue;
-                    }
-                    used.push((side, cand.clone()));
-                    if !self.hists[side as usize].contains_key(cand) {
-                        needed.push((side, cand.clone()));
-                    }
-                }
-            }
-        }
-        touch_hist_cache(&mut self.hists, &used, &mut self.clock);
-        fill_hist_cache(
-            &exec,
-            &mut self.hists,
-            &self.samples,
-            needed,
-            &mut self.clock,
-        )?;
-
         // Maintain the per-pair-category partial sums: fold the change list
         // where one exists (the instance-side histogram was patched), else
-        // rebuild from the (re)counted histograms. Directly-comparable pairs
-        // only — private-dictionary pairs keep the translation fallback. The
-        // table is stamped-LRU bounded (`partials_cache_cap`): a pair the cap
-        // evicted simply misses `get_mut` here and is rebuilt — or, if the
-        // rebuild itself is evicted before the fold below reads it, the fold
-        // falls back to the patched histograms. Either path produces the
-        // identical bits.
+        // rebuild from the two cached histograms. Directly-comparable pairs
+        // only — private-dictionary pairs keep the translation fallback. A
+        // pair whose table the `partials_cache_cap` bound evicted, or whose
+        // histograms the `hist_cache_cap` bound evicted, is left without a
+        // table; the re-weigh round below then folds its (recounted)
+        // histograms instead. Either path produces the identical bits.
+        let incident: Vec<u32> = self.adj[ii].clone();
         for &e in &incident {
             let (a, b) = (self.i_edges[e as usize].a, self.i_edges[e as usize].b);
             for cand in &self.candidates[e as usize] {
@@ -163,53 +139,17 @@ impl JoinGraph {
                     continue;
                 }
                 self.partials.remove(&key);
-                let ha = &self.hists[a as usize][cand].hist;
-                let hb = &self.hists[b as usize][cand].hist;
-                if let Some(p) = PairPartials::new(ha, hb) {
+                let ha = self.hists.peek(&(a, cand.clone()));
+                let hb = self.hists.peek(&(b, cand.clone()));
+                if let Some(p) = ha.zip(hb).and_then(|(ha, hb)| PairPartials::new(ha, hb)) {
                     self.partials.insert(key, p);
                 }
             }
         }
 
-        // Re-weigh incident edges: one JI task per (edge, candidate) in the
-        // exact enumeration order `refresh_sample` uses, folding the
-        // maintained category table when one exists and the two-histogram
-        // fold otherwise — both produce identical bits. The workers `peek`
-        // (non-stamping shared reads); the entries' LRU stamps were already
-        // bumped by the sequential maintenance pass above.
-        let items: Vec<(u32, u32)> = incident
-            .iter()
-            .flat_map(|&e| (0..self.candidates[e as usize].len() as u32).map(move |c| (e, c)))
-            .collect();
-        let jis: Vec<f64> = {
-            let (hists, i_edges, candidates, partials) =
-                (&self.hists, &self.i_edges, &self.candidates, &self.partials);
-            exec.par_map(&items, |_, &(e, c)| {
-                let edge = &i_edges[e as usize];
-                let cand = &candidates[e as usize][c as usize];
-                match partials.peek(&(edge.a, edge.b, cand.clone())) {
-                    Some(p) => p.ji(),
-                    None => ji_from_sym_counts(
-                        &hists[edge.a as usize][cand].hist,
-                        &hists[edge.b as usize][cand].hist,
-                    ),
-                }
-            })
-        };
-        let mut k = 0;
-        for &e in &incident {
-            let (a, b) = (self.i_edges[e as usize].a, self.i_edges[e as usize].b);
-            let mut best = f64::INFINITY;
-            for cand in &self.candidates[e as usize] {
-                let w = jis[k];
-                k += 1;
-                self.weights.insert((a, b, cand.clone()), w);
-                best = best.min(w);
-            }
-            self.i_edges[e as usize].weight = best;
-        }
-        trim_hist_cache(&mut self.hists, self.cache_cap);
-        Ok(())
+        // Re-weigh incident edges through the shared round, which folds the
+        // maintained category tables wherever they exist.
+        self.reweigh(&incident)
     }
 }
 
@@ -217,7 +157,7 @@ impl JoinGraph {
 mod tests {
     use crate::join_graph::{JoinGraph, JoinGraphConfig};
     use dance_market::{DatasetId, DatasetMeta, EntropyPricing};
-    use dance_relation::{AttrSet, Executor, Table, TableDelta, Value, ValueType};
+    use dance_relation::{AttrSet, Executor, RelationError, Table, TableDelta, Value, ValueType};
 
     fn inst(
         name: &str,
@@ -507,5 +447,57 @@ mod tests {
         g.pair_sel(2, 3, &on_cd).unwrap();
         g.pair_sel(0, 1, &on_ab).unwrap();
         assert_eq!(g.sel_cache_len(), 2);
+    }
+
+    /// An out-of-range instance is `UnknownDataset` from both update entry
+    /// points — even with an empty delta — and leaves the generations,
+    /// weights and every cache exactly as they were.
+    #[test]
+    fn out_of_range_instance_is_rejected_untouched() {
+        let (metas, samples) = catalog();
+        let mut g = build(metas, samples.clone());
+        g.pair_sel(0, 1, &AttrSet::from_names(["dl_k"])).unwrap();
+        g.price_for_eval(2, &AttrSet::from_names(["dl_m"]), None)
+            .unwrap();
+        g.apply_delta(0, &churny_delta()).unwrap();
+        let snapshot = |g: &JoinGraph| {
+            let weights: Vec<u64> = g
+                .i_edges()
+                .iter()
+                .flat_map(|e| {
+                    let cands = g.candidate_join_sets(e.a, e.b);
+                    std::iter::once(e.weight.to_bits()).chain(
+                        cands
+                            .iter()
+                            .map(|c| g.weight(e.a, e.b, c).unwrap().to_bits()),
+                    )
+                })
+                .collect();
+            let gens: Vec<u64> = (0..g.num_instances() as u32)
+                .map(|v| g.sample_gen(v))
+                .collect();
+            let lens = [
+                g.hist_cache_len(),
+                g.partials_len(),
+                g.sel_cache_len(),
+                g.proj_cache_len(),
+            ];
+            (gens, weights, lens)
+        };
+        let before = snapshot(&g);
+        let empty = TableDelta::new(Vec::new(), Vec::new());
+        for i in [4u32, u32::MAX] {
+            for delta in [&churny_delta(), &empty] {
+                assert!(matches!(
+                    g.apply_delta(i, delta),
+                    Err(RelationError::UnknownDataset(_))
+                ));
+            }
+            assert!(matches!(
+                g.refresh_sample(i, samples[0].clone()),
+                Err(RelationError::UnknownDataset(_))
+            ));
+        }
+        assert_eq!(snapshot(&g), before);
     }
 }

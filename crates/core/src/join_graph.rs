@@ -15,20 +15,21 @@
 //!
 //! ## Parallel construction
 //!
-//! [`JoinGraph::build`] fans out across the [`Executor`] threaded in through
-//! [`JoinGraphConfig`]: first one histogram task per distinct
-//! (instance, candidate-join-set), then one JI task per
-//! (instance-pair, candidate-join-set). Both phases read a shared,
-//! per-instance histogram cache; results are folded back in the sequential
-//! pair-enumeration order, so the produced edges and weights are identical at
-//! every thread count. The cache outlives the build (it becomes the
-//! [`JoinGraph`]'s own), and [`JoinGraph::refresh_sample`] draws partner-side
-//! histograms from it instead of recounting partner samples on every
-//! refinement round. Eviction is two-fold: an instance's entries are dropped
-//! when its sample is replaced (staleness), and after every build/refresh the
-//! cache is trimmed to [`JoinGraphConfig::hist_cache_cap`] total entries,
-//! least-recently-used first (memory bound) — evicted histograms are simply
-//! recounted on the next round that needs them.
+//! Edge weights come from one re-weigh round over a set of I-edges, which
+//! fans out across the [`Executor`] threaded in through [`JoinGraphConfig`]:
+//! first one histogram task per distinct (instance, candidate-join-set) the
+//! cache does not hold, then one JI task per (instance-pair,
+//! candidate-join-set). Results are folded back in the sequential
+//! enumeration order, so the produced edges and weights are identical at
+//! every thread count. [`JoinGraph::build`] runs the round on every edge;
+//! [`JoinGraph::refresh_sample`] and [`JoinGraph::apply_delta`] run it on the
+//! edges incident to the changed instance, drawing partner-side histograms
+//! from the persistent cache instead of recounting partner samples. Eviction
+//! is two-fold: an instance's entries are dropped when its sample is replaced
+//! (staleness), and the cache is stamped-LRU bounded by
+//! [`JoinGraphConfig::hist_cache_cap`] total entries (memory bound) —
+//! evicted histograms are simply recounted on the next round that needs
+//! them.
 //!
 //! ## Interned symbols
 //!
@@ -45,21 +46,9 @@ use dance_info::ji::{ji_from_sym_counts, PairPartials};
 use dance_market::{DatasetMeta, EntropyPricing, PricingModel};
 use dance_relation::sel::pair_sel_with;
 use dance_relation::{
-    sym_counts_with, AttrSet, Executor, FxHashMap, FxHashSet, PairSel, RelationError, Result,
-    SymCounts, Table,
+    sym_counts_with, AttrSet, Executor, FxHashMap, PairSel, RelationError, Result, SymCounts, Table,
 };
 use std::sync::Arc;
-
-/// One cached histogram plus its last-use stamp (for LRU trimming).
-#[derive(Debug)]
-pub(crate) struct CacheEntry {
-    pub(crate) hist: SymCounts,
-    pub(crate) stamp: u64,
-}
-
-/// Per-instance cache of symbol histograms, keyed by candidate join
-/// attribute set.
-pub(crate) type HistCache = FxHashMap<AttrSet, CacheEntry>;
 
 /// Default total-entry bound of the persistent histogram cache.
 pub const DEFAULT_HIST_CACHE_CAP: usize = 1024;
@@ -87,9 +76,9 @@ pub struct JoinGraphConfig {
     /// refinement rounds reuse it.
     pub executor: Executor,
     /// Upper bound on *total* cached histograms across all instances
-    /// (LRU-evicted after every build/refresh). Without a bound the cache
-    /// holds every (instance, candidate-set) histogram ever probed — the
-    /// build-time peak made permanent.
+    /// (stamped-LRU; 0 disables). Without a bound the cache holds every
+    /// (instance, candidate-set) histogram ever probed — the build-time peak
+    /// made permanent.
     pub hist_cache_cap: usize,
     /// Upper bound on cached per-hop pair selections (the MCMC search's
     /// selection cache, stamped-LRU like the histogram cache; 0 disables).
@@ -117,15 +106,6 @@ impl Default for JoinGraphConfig {
     }
 }
 
-/// One I-edge's worth of work during construction: the pair, its shared
-/// attributes, and the candidate join sets to weigh.
-struct PairWork {
-    i: u32,
-    j: u32,
-    common: AttrSet,
-    cands: Vec<AttrSet>,
-}
-
 /// Inner (nested-chunking) worker count for one histogram work item: the
 /// **work-size heuristic** that splits giant samples' counting kernels across
 /// otherwise-idle executor workers when the catalog offers fewer
@@ -145,85 +125,6 @@ fn inner_workers(threads: usize, items: usize, rows: usize, total_rows: usize) -
         return 1;
     }
     ((threads * rows) / total_rows).clamp(1, threads)
-}
-
-/// Compute every histogram in `needed` that is not already cached, in
-/// parallel over `exec`, and insert the results (stamped off `clock` in item
-/// order). Each item's counting kernel runs on a nested executor sized by
-/// [`inner_workers`].
-pub(crate) fn fill_hist_cache(
-    exec: &Executor,
-    hists: &mut [HistCache],
-    samples: &[Table],
-    needed: Vec<(u32, AttrSet)>,
-    clock: &mut u64,
-) -> Result<()> {
-    if needed.is_empty() {
-        return Ok(());
-    }
-    let threads = exec.threads();
-    let total_rows: usize = needed
-        .iter()
-        .map(|(side, _)| samples[*side as usize].num_rows())
-        .sum();
-    let computed: Result<Vec<SymCounts>> = exec
-        .par_map(&needed, |_, (side, cand)| {
-            let t = &samples[*side as usize];
-            let inner = Executor::new(inner_workers(
-                threads,
-                needed.len(),
-                t.num_rows(),
-                total_rows,
-            ));
-            sym_counts_with(&inner, t, cand)
-        })
-        .into_iter()
-        .collect();
-    for ((side, cand), hist) in needed.into_iter().zip(computed?) {
-        *clock += 1;
-        hists[side as usize].insert(
-            cand,
-            CacheEntry {
-                hist,
-                stamp: *clock,
-            },
-        );
-    }
-    Ok(())
-}
-
-/// Bump the stamps of every already-cached entry this round reads, in the
-/// (deterministic) enumeration order of `used`.
-pub(crate) fn touch_hist_cache(hists: &mut [HistCache], used: &[(u32, AttrSet)], clock: &mut u64) {
-    for (side, cand) in used {
-        if let Some(e) = hists[*side as usize].get_mut(cand) {
-            *clock += 1;
-            e.stamp = *clock;
-        }
-    }
-}
-
-/// Trim the cache to `cap` total entries, evicting the globally
-/// least-recently-stamped first. Stamps are unique, so eviction order is
-/// deterministic.
-pub(crate) fn trim_hist_cache(hists: &mut [HistCache], cap: usize) {
-    let total: usize = hists.iter().map(FxHashMap::len).sum();
-    if total <= cap {
-        return;
-    }
-    let mut entries: Vec<(u64, u32, AttrSet)> = hists
-        .iter()
-        .enumerate()
-        .flat_map(|(side, cache)| {
-            cache
-                .iter()
-                .map(move |(cand, e)| (e.stamp, side as u32, cand.clone()))
-        })
-        .collect();
-    entries.sort_unstable_by_key(|e| e.0);
-    for (_, side, cand) in entries.into_iter().take(total - cap) {
-        hists[side as usize].remove(&cand);
-    }
 }
 
 /// An I-layer edge.
@@ -254,18 +155,14 @@ pub struct JoinGraph {
     pricing: EntropyPricing,
     /// Executor the build ran on; refresh fan-outs reuse it.
     pub(crate) exec: Executor,
-    /// Per-instance histogram cache (one entry per candidate join set
-    /// recently probed against that instance's sample). Shared read-only
-    /// across workers during build/refresh. Evicted on staleness (an
-    /// instance's entries drop when its sample is refreshed — delta updates
-    /// instead *patch* them in place, see `JoinGraph::apply_delta`) and
-    /// trimmed to `cache_cap` total entries LRU-first after every
-    /// build/refresh/delta round.
-    pub(crate) hists: Vec<HistCache>,
-    /// Monotone use-stamp source for LRU trimming.
-    pub(crate) clock: u64,
-    /// Total-entry bound on `hists` (from [`JoinGraphConfig`]).
-    pub(crate) cache_cap: usize,
+    /// Histogram cache: `(instance, candidate join set) → SymCounts` of that
+    /// instance's sample, one entry per candidate recently probed. Evicted on
+    /// staleness (an instance's entries drop when its sample is refreshed —
+    /// delta updates instead *patch* them, see `JoinGraph::apply_delta`) and
+    /// stamped-LRU bounded by [`JoinGraphConfig::hist_cache_cap`]. Entries
+    /// are `Arc` handles, so a re-weigh round keeps every histogram it reads
+    /// alive even when its own inserts evict them.
+    pub(crate) hists: StampedLru<(u32, AttrSet), Arc<SymCounts>>,
     /// Per-instance sample **generation**: bumped every time instance `i`'s
     /// sample changes ([`Self::refresh_sample`] and `apply_delta` alike).
     /// Every evaluation-cache key embeds the generations of the instances it
@@ -330,113 +227,155 @@ impl JoinGraph {
             )));
         }
         let n = metas.len();
-        let exec = cfg.executor;
 
         // Pair enumeration stays sequential (schema intersections are cheap);
-        // it fixes the deterministic edge order everything below folds into.
-        let mut pairs: Vec<PairWork> = Vec::new();
+        // it fixes the deterministic edge order every round folds into.
+        let mut i_edges = Vec::new();
+        let mut adj = vec![Vec::new(); n];
+        let mut candidates = Vec::new();
         for i in 0..n {
             for j in (i + 1)..n {
                 let common = metas[i].schema.common(&metas[j].schema);
                 if common.is_empty() {
                     continue;
                 }
-                let cands = candidate_sets(&common, cfg.max_enum_join_attrs);
-                pairs.push(PairWork {
-                    i: i as u32,
-                    j: j as u32,
+                let e = i_edges.len() as u32;
+                candidates.push(candidate_sets(&common, cfg.max_enum_join_attrs));
+                i_edges.push(IEdge {
+                    a: i as u32,
+                    b: j as u32,
                     common,
-                    cands,
+                    weight: f64::INFINITY,
                 });
+                adj[i].push(e);
+                adj[j].push(e);
             }
         }
-
-        // Candidate join sets repeat heavily across partners (every pair
-        // sharing an attribute probes its singleton), so key histograms are
-        // one task per *distinct* (instance, candidate set) and every
-        // incident pair reads the shared result. The cache holds the whole
-        // catalog's probed histograms at once — the price of sharing it
-        // across workers and, after build, across refinement rounds.
-        let mut needed: Vec<(u32, AttrSet)> = Vec::new();
-        let mut seen: FxHashSet<(u32, AttrSet)> = FxHashSet::default();
-        for p in &pairs {
-            for cand in &p.cands {
-                for side in [p.i, p.j] {
-                    if seen.insert((side, cand.clone())) {
-                        needed.push((side, cand.clone()));
-                    }
-                }
-            }
-        }
-        let mut hists: Vec<HistCache> = (0..n).map(|_| HistCache::default()).collect();
-        let mut clock = 0u64;
-        fill_hist_cache(&exec, &mut hists, &samples, needed, &mut clock)?;
-
-        // One JI task per (pair, candidate) work item, all reading the shared
-        // cache; `par_map` returns in item order, so the fold below consumes
-        // the flat result exactly as the sequential double loop would.
-        let items: Vec<(u32, u32)> = pairs
-            .iter()
-            .enumerate()
-            .flat_map(|(p, pair)| (0..pair.cands.len() as u32).map(move |c| (p as u32, c)))
-            .collect();
-        let jis: Vec<f64> = exec.par_map(&items, |_, &(p, c)| {
-            let pair = &pairs[p as usize];
-            let cand = &pair.cands[c as usize];
-            ji_from_sym_counts(
-                &hists[pair.i as usize][cand].hist,
-                &hists[pair.j as usize][cand].hist,
-            )
-        });
-
-        let mut i_edges = Vec::with_capacity(pairs.len());
-        let mut adj = vec![Vec::new(); n];
-        let mut weights = FxHashMap::default();
-        let mut candidates = Vec::with_capacity(pairs.len());
-        let mut k = 0;
-        for pair in pairs {
-            let mut best = f64::INFINITY;
-            for cand in &pair.cands {
-                let w = jis[k];
-                k += 1;
-                weights.insert((pair.i, pair.j, cand.clone()), w);
-                best = best.min(w);
-            }
-            let edge_idx = i_edges.len() as u32;
-            i_edges.push(IEdge {
-                a: pair.i,
-                b: pair.j,
-                common: pair.common,
-                weight: best,
-            });
-            candidates.push(pair.cands);
-            adj[pair.i as usize].push(edge_idx);
-            adj[pair.j as usize].push(edge_idx);
-        }
-        trim_hist_cache(&mut hists, cfg.hist_cache_cap);
-        Ok(JoinGraph {
-            gens: vec![0; metas.len()],
+        let mut graph = JoinGraph {
+            gens: vec![0; n],
             metas,
             samples,
             i_edges,
             adj,
-            weights,
+            weights: FxHashMap::default(),
             candidates,
             pricing,
-            exec,
-            hists,
-            clock,
-            cache_cap: cfg.hist_cache_cap,
+            exec: cfg.executor,
+            hists: StampedLru::new(cfg.hist_cache_cap),
             partials: StampedLru::new(cfg.partials_cache_cap),
             sel_cache: ShardedLru::new(cfg.sel_cache_cap),
             proj_cache: ShardedLru::new(cfg.proj_cache_cap),
-        })
+        };
+        let all: Vec<u32> = (0..graph.i_edges.len() as u32).collect();
+        graph.reweigh(&all)?;
+        Ok(graph)
+    }
+
+    /// The histogram re-weigh round behind [`Self::build`],
+    /// [`Self::refresh_sample`] and [`Self::apply_delta`]: estimate the JI of
+    /// every candidate join set of `edges` and set each I-edge's weight to
+    /// its minimum (Definition 4.2).
+    ///
+    /// The (instance, candidate) histograms the round reads are enumerated
+    /// once each, in edge/candidate/side order. Cached ones are stamped;
+    /// missing ones (a refreshed instance, or entries the cap evicted) are
+    /// counted in parallel and inserted. Candidate join sets repeat heavily
+    /// across partners (every pair sharing an attribute probes its
+    /// singleton), so each distinct histogram is one task and every incident
+    /// edge reads the shared result. One JI task per (edge, candidate) then
+    /// folds either the maintained [`PairPartials`] table (delta upkeep) or
+    /// the two histograms — identical bits either way. `par_map` returns in
+    /// item order, so weights are identical at every thread count.
+    pub(crate) fn reweigh(&mut self, edges: &[u32]) -> Result<()> {
+        let mut slots: FxHashMap<(u32, AttrSet), usize> = FxHashMap::default();
+        let mut keys: Vec<(u32, AttrSet)> = Vec::new();
+        let mut handles: Vec<Option<Arc<SymCounts>>> = Vec::new();
+        let mut items: Vec<(u32, u32, usize, usize)> = Vec::new();
+        for &e in edges {
+            let edge = &self.i_edges[e as usize];
+            for (c, cand) in self.candidates[e as usize].iter().enumerate() {
+                let [sa, sb] = [edge.a, edge.b].map(|side| {
+                    *slots.entry((side, cand.clone())).or_insert_with_key(|key| {
+                        handles.push(self.hists.get(key).cloned());
+                        keys.push(key.clone());
+                        keys.len() - 1
+                    })
+                });
+                items.push((e, c as u32, sa, sb));
+            }
+        }
+
+        let needed: Vec<usize> = (0..handles.len())
+            .filter(|&s| handles[s].is_none())
+            .collect();
+        let threads = self.exec.threads();
+        let total_rows: usize = needed
+            .iter()
+            .map(|&s| self.samples[keys[s].0 as usize].num_rows())
+            .sum();
+        let counted: Vec<SymCounts> = self
+            .exec
+            .par_map(&needed, |_, &s| {
+                let (side, cand) = &keys[s];
+                let t = &self.samples[*side as usize];
+                let inner = Executor::new(inner_workers(
+                    threads,
+                    needed.len(),
+                    t.num_rows(),
+                    total_rows,
+                ));
+                sym_counts_with(&inner, t, cand)
+            })
+            .into_iter()
+            .collect::<Result<_>>()?;
+        for (s, hist) in needed.into_iter().zip(counted) {
+            let hist = Arc::new(hist);
+            self.hists.insert(keys[s].clone(), Arc::clone(&hist));
+            handles[s] = Some(hist);
+        }
+        let handles: Vec<Arc<SymCounts>> = handles
+            .into_iter()
+            .map(|h| h.expect("every missing histogram was just counted"))
+            .collect();
+
+        let jis: Vec<f64> = self.exec.par_map(&items, |_, &(e, c, sa, sb)| {
+            let edge = &self.i_edges[e as usize];
+            let cand = &self.candidates[e as usize][c as usize];
+            match self.partials.peek(&(edge.a, edge.b, cand.clone())) {
+                Some(p) => p.ji(),
+                None => ji_from_sym_counts(&handles[sa], &handles[sb]),
+            }
+        });
+        let mut jis = jis.into_iter();
+        for &e in edges {
+            let edge = &mut self.i_edges[e as usize];
+            edge.weight = f64::INFINITY;
+            for cand in &self.candidates[e as usize] {
+                let w = jis.next().expect("one JI per (edge, candidate)");
+                self.weights.insert((edge.a, edge.b, cand.clone()), w);
+                edge.weight = edge.weight.min(w);
+            }
+        }
+        Ok(())
+    }
+
+    /// `UnknownDataset` unless `i` is an instance of this graph — checked
+    /// before an update touches any state.
+    pub(crate) fn check_instance(&self, i: u32) -> Result<()> {
+        if (i as usize) < self.samples.len() {
+            Ok(())
+        } else {
+            Err(RelationError::UnknownDataset(format!(
+                "instance {i} of a {}-instance join graph",
+                self.samples.len()
+            )))
+        }
     }
 
     /// Total histograms currently held by the persistent cache (bounded by
     /// [`JoinGraphConfig::hist_cache_cap`]).
     pub fn hist_cache_len(&self) -> usize {
-        self.hists.iter().map(FxHashMap::len).sum()
+        self.hists.len()
     }
 
     /// Number of I-vertices.
@@ -461,7 +400,8 @@ impl JoinGraph {
 
     /// Replace the sample of instance `i` (iterative refinement, §2.1) and
     /// re-estimate the weights of its incident edges, fanning the partner
-    /// work items out over the graph's executor.
+    /// work items out over the graph's executor. An out-of-range `i` is
+    /// `UnknownDataset`, with nothing changed.
     ///
     /// Staleness follows the **generation-stamp model**: the replacement
     /// bumps `i`'s sample generation, and since every evaluation-cache key
@@ -471,83 +411,22 @@ impl JoinGraph {
     /// memory courtesy (unreachable entries would otherwise sit in the
     /// bounded caches until LRU pressure pushed them out). Partner-side
     /// entries survive: their samples, and hence their generations, did not
-    /// change. The same holds for histograms — only the refreshed instance's
-    /// entries are dropped and recounted; partner-side histograms come
-    /// straight from the persistent cache. For an *incremental* change to a
-    /// sample, prefer [`Self::apply_delta`], which patches all of this state
-    /// in O(delta) instead of dropping and recounting it.
+    /// change. Histograms are the exception — their keys carry no
+    /// generation, so `i`'s entries *must* be dropped, and the round
+    /// recounts them; partner-side histograms come straight from the
+    /// persistent cache. For an *incremental* change to a sample, prefer
+    /// [`Self::apply_delta`], which patches all of this state in O(delta)
+    /// instead of dropping and recounting it.
     pub fn refresh_sample(&mut self, i: u32, sample: Table) -> Result<()> {
+        self.check_instance(i)?;
         self.samples[i as usize] = sample;
         self.gens[i as usize] += 1;
-        self.hists[i as usize] = HistCache::default(); // evict stale entries
+        self.hists.retain(|&(v, _)| v != i);
         self.partials.retain(|&(a, b, _)| a != i && b != i);
         self.sel_cache.retain(|&(a, _, b, _, _)| a != i && b != i);
         self.proj_cache.retain(|&(v, _, _)| v != i);
-        let exec = self.exec;
-        let incident: Vec<u32> = self.adj[i as usize].clone();
-
-        // Everything this round reads, in deterministic enumeration order:
-        // cached entries get their LRU stamps bumped, missing ones (the
-        // evicted instance, plus any partner entry the size cap trimmed) are
-        // recounted.
-        let mut used: Vec<(u32, AttrSet)> = Vec::new();
-        let mut needed: Vec<(u32, AttrSet)> = Vec::new();
-        let mut seen: FxHashSet<(u32, AttrSet)> = FxHashSet::default();
-        for &e in &incident {
-            let edge = &self.i_edges[e as usize];
-            for cand in &self.candidates[e as usize] {
-                for side in [edge.a, edge.b] {
-                    if !seen.insert((side, cand.clone())) {
-                        continue;
-                    }
-                    used.push((side, cand.clone()));
-                    if !self.hists[side as usize].contains_key(cand) {
-                        needed.push((side, cand.clone()));
-                    }
-                }
-            }
-        }
-        touch_hist_cache(&mut self.hists, &used, &mut self.clock);
-        fill_hist_cache(
-            &exec,
-            &mut self.hists,
-            &self.samples,
-            needed,
-            &mut self.clock,
-        )?;
-
-        // One JI task per (incident edge, candidate), partner instances
-        // re-weighed in parallel off the shared cache.
-        let items: Vec<(u32, u32)> = incident
-            .iter()
-            .flat_map(|&e| (0..self.candidates[e as usize].len() as u32).map(move |c| (e, c)))
-            .collect();
-        let jis: Vec<f64> = {
-            let (hists, i_edges, candidates) = (&self.hists, &self.i_edges, &self.candidates);
-            exec.par_map(&items, |_, &(e, c)| {
-                let edge = &i_edges[e as usize];
-                let cand = &candidates[e as usize][c as usize];
-                ji_from_sym_counts(
-                    &hists[edge.a as usize][cand].hist,
-                    &hists[edge.b as usize][cand].hist,
-                )
-            })
-        };
-
-        let mut k = 0;
-        for &e in &incident {
-            let (a, b) = (self.i_edges[e as usize].a, self.i_edges[e as usize].b);
-            let mut best = f64::INFINITY;
-            for cand in &self.candidates[e as usize] {
-                let w = jis[k];
-                k += 1;
-                self.weights.insert((a, b, cand.clone()), w);
-                best = best.min(w);
-            }
-            self.i_edges[e as usize].weight = best;
-        }
-        trim_hist_cache(&mut self.hists, self.cache_cap);
-        Ok(())
+        let incident = self.adj[i as usize].clone();
+        self.reweigh(&incident)
     }
 
     /// All I-edges.
@@ -789,7 +668,7 @@ fn candidate_sets(common: &AttrSet, max_enum: usize) -> Vec<AttrSet> {
 mod tests {
     use super::*;
     use dance_market::DatasetId;
-    use dance_relation::{Table, Value, ValueType};
+    use dance_relation::{Table, TableDelta, Value, ValueType};
 
     fn inst(
         name: &str,
@@ -983,14 +862,43 @@ mod tests {
         }
     }
 
+    /// Histograms instance `v` has cached for its incident edges' candidates.
+    fn cached_hists(g: &JoinGraph, v: u32) -> usize {
+        g.incident(v)
+            .iter()
+            .flat_map(|&e| &g.candidates[e as usize])
+            .filter(|cand| g.hists.peek(&(v, (*cand).clone())).is_some())
+            .count()
+    }
+
+    /// Every weight of `g` is bit-equal to a from-scratch build over its
+    /// current samples.
+    fn assert_weights_match_rebuild(g: &JoinGraph, what: &str) {
+        let rebuilt = JoinGraph::build(
+            g.metas.clone(),
+            g.samples.clone(),
+            EntropyPricing::default(),
+            &JoinGraphConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(g.weights.len(), rebuilt.weights.len());
+        for (key, w) in &rebuilt.weights {
+            assert_eq!(g.weights[key].to_bits(), w.to_bits(), "{what}");
+        }
+        for (a, b) in g.i_edges.iter().zip(&rebuilt.i_edges) {
+            assert_eq!(a.weight.to_bits(), b.weight.to_bits(), "{what}");
+        }
+    }
+
     #[test]
     fn histogram_cache_persists_and_evicts_on_refresh() {
         let mut g = toy_graph();
-        // Build populated both endpoint caches of the (0, 1) edge.
-        let probed_0 = g.hists[0].len();
-        let probed_1 = g.hists[1].len();
+        // Build populated both endpoint caches of the (0, 1) edge, and
+        // nothing else: the isolated vertex has no histograms.
+        let probed_0 = cached_hists(&g, 0);
+        let probed_1 = cached_hists(&g, 1);
         assert!(probed_0 > 0 && probed_1 > 0, "cache persists past build");
-        assert!(g.hists[2].is_empty(), "isolated vertex has no histograms");
+        assert_eq!(g.hist_cache_len(), probed_0 + probed_1);
 
         let fresh = Table::from_rows(
             "D2",
@@ -1006,29 +914,21 @@ mod tests {
         .unwrap();
         g.refresh_sample(1, fresh).unwrap();
         // The refreshed side was evicted and recounted; the partner side kept
-        // its entries (refresh no longer recounts partner samples).
-        assert_eq!(g.hists[1].len(), probed_1);
-        assert_eq!(g.hists[0].len(), probed_0);
-        // Refreshed weights equal a from-scratch build over the new samples.
-        let rebuilt = JoinGraph::build(
-            g.metas.clone(),
-            g.samples.clone(),
-            EntropyPricing::default(),
-            &JoinGraphConfig::default(),
-        )
-        .unwrap();
-        for (key, w) in &rebuilt.weights {
-            assert_eq!(g.weights[key].to_bits(), w.to_bits());
-        }
+        // its entries (refresh does not recount partner samples).
+        assert_eq!(cached_hists(&g, 1), probed_1);
+        assert_eq!(cached_hists(&g, 0), probed_0);
+        assert_eq!(g.hist_cache_len(), probed_0 + probed_1);
+        assert_weights_match_rebuild(&g, "refreshed weights");
     }
 
-    /// The LRU bound holds after build and across refresh rounds, and evicted
-    /// histograms are transparently recounted: weights always equal a
-    /// from-scratch build over the same samples.
+    /// The LRU bound holds after build and across refresh and delta rounds —
+    /// all three share one re-weigh round — and evicted histograms are
+    /// transparently recounted: weights always equal a from-scratch build
+    /// over the same samples.
     #[test]
     fn hist_cache_cap_holds_across_refresh_rounds() {
         let base = toy_graph();
-        for cap in [1usize, 2, 4] {
+        for cap in [0usize, 1, 2, 4] {
             let mut g = JoinGraph::build(
                 base.metas.clone(),
                 base.samples.clone(),
@@ -1040,7 +940,7 @@ mod tests {
             )
             .unwrap();
             assert!(g.hist_cache_len() <= cap, "cap {cap} violated after build");
-            for round in 0..3u32 {
+            for round in 0..3i64 {
                 let fresh = Table::from_rows(
                     "D2",
                     &[
@@ -1051,7 +951,7 @@ mod tests {
                     (0..30)
                         .map(|i| {
                             vec![
-                                Value::Int(i % (2 + round as i64)),
+                                Value::Int(i % (2 + round)),
                                 Value::Int(i % 4),
                                 Value::Int(i),
                             ]
@@ -1064,20 +964,21 @@ mod tests {
                     g.hist_cache_len() <= cap,
                     "cap {cap} violated after refresh {round}"
                 );
-                let rebuilt = JoinGraph::build(
-                    g.metas.clone(),
-                    g.samples.clone(),
-                    EntropyPricing::default(),
-                    &JoinGraphConfig::default(),
-                )
-                .unwrap();
-                for (key, w) in &rebuilt.weights {
-                    assert_eq!(
-                        g.weights[key].to_bits(),
-                        w.to_bits(),
-                        "weights drifted at cap {cap} round {round}"
-                    );
-                }
+                assert_weights_match_rebuild(&g, &format!("refresh at cap {cap} round {round}"));
+
+                let delta = TableDelta::new(
+                    vec![
+                        vec![Value::Int(round), Value::Int(round + 1), Value::Int(100)],
+                        vec![Value::Int(7), Value::Int(round), Value::Int(101)],
+                    ],
+                    vec![round as u32, 11, 12],
+                );
+                g.apply_delta(0, &delta).unwrap();
+                assert!(
+                    g.hist_cache_len() <= cap,
+                    "cap {cap} violated after delta {round}"
+                );
+                assert_weights_match_rebuild(&g, &format!("delta at cap {cap} round {round}"));
             }
         }
     }

@@ -21,8 +21,8 @@
 //! A proposal flips exactly one edge's join attribute set, and the walk
 //! revisits states constantly, so [`find_optimal_target_graph`] evaluates
 //! through an incremental engine instead of re-running the whole pipeline
-//! per proposal (disable with [`McmcConfig::incremental`] — the bit-exact
-//! reference path the property tests pin against):
+//! per proposal. [`evaluate_assignment`] stays the bit-exact reference: the
+//! tests evaluate every state a walk visits through both and compare bits.
 //!
 //! * **Per-hop selection cache** — each tree hop re-probes a
 //!   [`JoinGraph::pair_sel`] cached per `(instance pair, join set)`, so a
@@ -34,9 +34,10 @@
 //!   the flipped edge's endpoints recompute, and the final price/weight
 //!   folds re-run over the cached components in canonical order, so every
 //!   float is bit-equal to a fresh full re-sum.
-//! * **Evaluation memo** — full [`TargetGraph`]s memoized per assignment
-//!   (stamped-LRU, [`McmcConfig::eval_memo_cap`]), so a revisited state
-//!   costs one hash lookup.
+//! * **Evaluation memo** — full [`TargetGraph`]s memoized per assignment in
+//!   one sharded stamped-LRU per search ([`McmcConfig::eval_memo_cap`]),
+//!   shared by all of its chains, so a revisited state costs one hash
+//!   lookup.
 //!
 //! §3.2 re-sampling keeps firing on the *composed* selection via
 //! [`dance_sampling::resample::BoundedHook`] with unchanged step/seed
@@ -54,7 +55,7 @@ use dance_relation::sel::TreeJoin;
 use dance_relation::{AttrSet, FxHashMap, FxHashSet, RelationError, Result, Table};
 use dance_sampling::resample::{join_tree_bounded_with, BoundedHook, ResampleConfig};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::RngExt;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -72,16 +73,9 @@ pub struct McmcConfig {
     pub resample: Option<ResampleConfig>,
     /// AFD discovery settings for the quality estimate (Def 2.3).
     pub tane: TaneConfig,
-    /// Evaluate proposals through the incremental engine (cached per-hop
-    /// selections, cached projections/prices, per-walk memo). `false`
-    /// re-runs the full [`evaluate_assignment`] pipeline per proposal — the
-    /// reference the pinning tests compare bit-exact and the uncached bench
-    /// baseline. Both paths visit identical states: evaluation caching never
-    /// changes a single proposal, acceptance, or report byte.
-    pub incremental: bool,
-    /// Stamped-LRU bound on the per-walk `assignment → TargetGraph` memo
-    /// (0 disables memoization; hop/projection caches still apply). With
-    /// more than one chain this also bounds the memo *shared* across chains.
+    /// Stamped-LRU bound on the per-search `assignment → TargetGraph` memo
+    /// shared by all chains (0 disables memoization; hop/projection caches
+    /// still apply).
     pub eval_memo_cap: usize,
     /// Number of independent MCMC chains ([`crate::multichain`]). `1` (the
     /// default) is the plain single-chain walk; `N > 1` runs N independently
@@ -110,7 +104,6 @@ impl Default for McmcConfig {
                 max_lhs: 1,
                 max_attrs: 12,
             },
-            incremental: true,
             eval_memo_cap: DEFAULT_EVAL_MEMO_CAP,
             chains: 1,
             temperature_step: 0.0,
@@ -346,11 +339,10 @@ fn eval_corr(
 /// The incremental evaluation engine behind [`find_optimal_target_graph`].
 ///
 /// Everything invariant across the walk is computed once at construction:
-/// the participating vertex order (and its position map, replacing the
-/// retired O(n) scan per edge endpoint), and the candidate list per edge.
-/// Per evaluation, hop selections come from the graph's [`PairSel`] cache,
-/// projected tables and prices from its projection cache, and whole
-/// [`TargetGraph`]s from a per-walk stamped-LRU memo keyed by the assignment
+/// the participating vertex order (and its position map), and the candidate
+/// list per edge. Per evaluation, hop selections come from the graph's
+/// [`PairSel`] cache, projected tables and prices from its projection cache,
+/// and whole [`TargetGraph`]s from the search's memo keyed by the assignment
 /// (as candidate indices) — so a revisited state costs one hash lookup and a
 /// fresh state re-probes only hops no cached selection covers.
 ///
@@ -377,16 +369,14 @@ pub(crate) struct EvalEngine<'a> {
     vertices: Vec<u32>,
     /// vertex id → position in `vertices` (the prebuilt index map).
     pos: FxHashMap<u32, usize>,
-    /// Assignment (candidate indices) → fully evaluated target graph
-    /// (unused when a cross-chain `shared_memo` is plugged in).
-    memo: StampedLru<Box<[u32]>, TargetGraph>,
-    /// Multi-chain mode: a concurrent memo shared read-mostly across all
-    /// chains of one search, replacing the private `memo`. Safe to share
-    /// because a [`TargetGraph`] is a pure function of the assignment (the
-    /// candidate index space is common to all chains, and §3.2 re-sampling
-    /// seeds derive from the composed selection, not the walk RNG) — a hit
-    /// from another chain is bit-identical to a local recomputation.
-    shared_memo: Option<&'a ShardedLru<Box<[u32]>, TargetGraph>>,
+    /// Assignment (candidate indices) → fully evaluated target graph: the
+    /// one memo of the search, shared read-mostly by all of its chains. Safe
+    /// to share because a [`TargetGraph`] is a pure function of the
+    /// assignment (the candidate index space is common to all chains, and
+    /// §3.2 re-sampling seeds derive from the composed selection, not the
+    /// walk RNG) — a hit from another chain is bit-identical to a local
+    /// recomputation.
+    memo: &'a ShardedLru<Box<[u32]>, TargetGraph>,
     /// `(edge, candidate index, probe base)` → the graph's cached pair
     /// selection, held locally so repeat hops skip the graph lock *and* the
     /// attr-set key clone. Entries are `Arc` handles into
@@ -409,7 +399,7 @@ impl<'a> EvalEngine<'a> {
         source_attrs: &'a AttrSet,
         target_attrs: &'a AttrSet,
         cfg: &'a McmcConfig,
-        shared_memo: Option<&'a ShardedLru<Box<[u32]>, TargetGraph>>,
+        memo: &'a ShardedLru<Box<[u32]>, TargetGraph>,
     ) -> Result<EvalEngine<'a>> {
         let mut vs: FxHashSet<u32> = FxHashSet::default();
         for &(a, b) in tree_edges {
@@ -439,14 +429,7 @@ impl<'a> EvalEngine<'a> {
             tane: &cfg.tane,
             vertices,
             pos,
-            // The private memo is dead weight when a shared one is plugged
-            // in; cap it to 0 so it never holds a clone.
-            memo: StampedLru::new(if shared_memo.is_some() {
-                0
-            } else {
-                cfg.eval_memo_cap
-            }),
-            shared_memo,
+            memo,
             pair_handles: StampedLru::new(graph.sel_cache_cap()),
         })
     }
@@ -455,17 +438,8 @@ impl<'a> EvalEngine<'a> {
     /// [`TargetGraph`], bit-identical to [`evaluate_assignment`] over the
     /// resolved attribute sets.
     fn evaluate(&mut self, idxs: &[u32]) -> Result<TargetGraph> {
-        match self.shared_memo {
-            Some(shared) => {
-                if let Some(tg) = shared.get(idxs) {
-                    return Ok(tg);
-                }
-            }
-            None => {
-                if let Some(tg) = self.memo.get(idxs) {
-                    return Ok(tg.clone());
-                }
-            }
+        if let Some(tg) = self.memo.get(idxs) {
+            return Ok(tg);
         }
         let join_attrs: Vec<&AttrSet> = idxs
             .iter()
@@ -549,10 +523,7 @@ impl<'a> EvalEngine<'a> {
             quality,
             price,
         };
-        match self.shared_memo {
-            Some(shared) => shared.insert(Box::from(idxs), tg.clone()),
-            None => self.memo.insert(Box::from(idxs), tg.clone()),
-        }
+        self.memo.insert(Box::from(idxs), tg.clone());
         Ok(tg)
     }
 }
@@ -561,11 +532,11 @@ impl<'a> EvalEngine<'a> {
 ///
 /// Returns the best constraint-satisfying state visited, or `None` when no
 /// visited state satisfied the constraints. Proposals evaluate through the
-/// incremental engine unless [`McmcConfig::incremental`] is off; the two
-/// paths visit bit-identical states (see the module docs).
-/// [`McmcConfig::chains`] > 1 fans the walk into N independently seeded
-/// parallel chains with a deterministic best-of-N reduction — see
-/// [`crate::multichain`] for the seed/temperature/determinism contract.
+/// incremental engine (see the module docs). The walk always runs through
+/// [`crate::multichain`]: [`McmcConfig::chains`] > 1 fans it into N
+/// independently seeded parallel chains with a deterministic best-of-N
+/// reduction, and a single chain is exactly the seeded walk at `T = 1` —
+/// see that module for the seed/temperature/determinism contract.
 #[allow(clippy::too_many_arguments)]
 pub fn find_optimal_target_graph(
     graph: &JoinGraph,
@@ -610,24 +581,7 @@ pub fn find_optimal_target_graph(
         })
         .collect();
 
-    if cfg.chains > 1 {
-        return crate::multichain::multichain_search(
-            graph,
-            free,
-            tree_edges,
-            &cands,
-            &assignment,
-            source_cover,
-            target_cover,
-            source_attrs,
-            target_attrs,
-            constraints,
-            cfg,
-        );
-    }
-
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    run_single_chain(
+    crate::multichain::multichain_search(
         graph,
         free,
         tree_edges,
@@ -639,18 +593,13 @@ pub fn find_optimal_target_graph(
         target_attrs,
         constraints,
         cfg,
-        1.0,
-        &mut rng,
-        None,
     )
 }
 
 /// One seeded chain of Algorithm 1's walk over a prepared candidate space:
-/// builds the evaluation path ([`EvalEngine`] or the uncached reference,
-/// per [`McmcConfig::incremental`]) and runs [`walk_chain`] with it. The
-/// single-chain entry point calls this with temperature 1 and no shared
-/// memo — [`crate::multichain`] calls it once per chain, with the chain's
-/// derived RNG, its ladder temperature, and the cross-chain memo.
+/// builds the [`EvalEngine`] over the search's memo and runs [`walk_chain`]
+/// with it. [`crate::multichain`] calls this once per chain, with the
+/// chain's derived RNG and its ladder temperature.
 #[allow(clippy::too_many_arguments)] // mirrors find_optimal_target_graph's surface
 pub(crate) fn run_single_chain(
     graph: &JoinGraph,
@@ -666,53 +615,22 @@ pub(crate) fn run_single_chain(
     cfg: &McmcConfig,
     temperature: f64,
     rng: &mut StdRng,
-    shared_memo: Option<&ShardedLru<Box<[u32]>, TargetGraph>>,
+    memo: &ShardedLru<Box<[u32]>, TargetGraph>,
 ) -> Result<Option<TargetGraph>> {
-    let mut engine = if cfg.incremental {
-        Some(EvalEngine::new(
-            graph,
-            free,
-            tree_edges,
-            cands.to_vec(),
-            source_cover,
-            target_cover,
-            source_attrs,
-            target_attrs,
-            cfg,
-            shared_memo,
-        )?)
-    } else {
-        None
-    };
-    let mut evaluate = |idxs: &[u32]| -> Result<TargetGraph> {
-        match engine.as_mut() {
-            Some(engine) => engine.evaluate(idxs),
-            None => {
-                // The uncached reference: resolve the attribute sets and run
-                // the full evaluation pipeline.
-                let attrs: Vec<AttrSet> = idxs
-                    .iter()
-                    .zip(cands)
-                    .map(|(&i, c)| c[i as usize].clone())
-                    .collect();
-                evaluate_assignment(
-                    graph,
-                    free,
-                    tree_edges,
-                    &attrs,
-                    source_cover,
-                    target_cover,
-                    source_attrs,
-                    target_attrs,
-                    None,
-                    cfg.resample.as_ref(),
-                    &cfg.tane,
-                )
-            }
-        }
-    };
+    let mut engine = EvalEngine::new(
+        graph,
+        free,
+        tree_edges,
+        cands.to_vec(),
+        source_cover,
+        target_cover,
+        source_attrs,
+        target_attrs,
+        cfg,
+        memo,
+    )?;
     walk_chain(
-        &mut evaluate,
+        &mut |idxs: &[u32]| engine.evaluate(idxs),
         cands,
         initial,
         constraints,
@@ -794,7 +712,8 @@ mod tests {
     use super::*;
     use crate::join_graph::JoinGraphConfig;
     use dance_market::{DatasetId, DatasetMeta, EntropyPricing};
-    use dance_relation::{Table, Value, ValueType};
+    use dance_relation::{Executor, Table, Value, ValueType};
+    use rand::SeedableRng;
 
     /// Two instances sharing two possible join attributes:
     /// `mc_good` (correlation-preserving) and `mc_noise` (correlation-killing).
@@ -1030,59 +949,119 @@ mod tests {
         assert!((a.corr - b.corr).abs() < 1e-12);
     }
 
-    /// The incremental engine and the fresh-evaluation reference walk to the
-    /// bit-identical best state on the two-key graph — with re-sampling
-    /// firing, across memo caps (including 0 = memo disabled), cold and warm.
-    #[test]
-    fn incremental_walk_matches_reference_walk() {
-        let g = two_key_graph();
-        let (sc, tc) = covers();
-        let run = |incremental: bool, memo_cap: usize| {
-            find_optimal_target_graph(
-                &g,
-                &FxHashSet::default(),
-                &[(0, 1)],
-                &sc,
-                &tc,
-                &AttrSet::from_names(["mc_src"]),
-                &AttrSet::from_names(["mc_tgt"]),
-                &Constraints::unbounded(),
-                &McmcConfig {
-                    iterations: 50,
-                    seed: 17,
-                    resample: Some(dance_sampling::ResampleConfig {
-                        eta: 64,
-                        rate: 0.5,
-                        seed: 9,
-                    }),
-                    incremental,
-                    eval_memo_cap: memo_cap,
-                    ..McmcConfig::default()
-                },
-            )
-            .unwrap()
-            .expect("unconstrained search finds something")
-        };
-        let reference = run(false, 0);
-        // The reference walk warmed the projection/price caches; start the
-        // incremental comparison from a genuinely cold graph.
-        g.clear_eval_caches();
-        for memo_cap in [0usize, 1, 512] {
-            for _ in 0..2 {
-                let inc = run(true, memo_cap);
-                assert_eq!(inc.join_attrs, reference.join_attrs, "cap {memo_cap}");
-                assert_eq!(inc.projections, reference.projections);
-                assert_eq!(inc.corr.to_bits(), reference.corr.to_bits());
-                assert_eq!(inc.weight.to_bits(), reference.weight.to_bits());
-                assert_eq!(inc.quality.to_bits(), reference.quality.to_bits());
-                assert_eq!(inc.price.to_bits(), reference.price.to_bits());
+    mod search_catalog {
+        include!("../tests/support/search_catalog.rs");
+    }
+
+    /// Bit-exact equality of two evaluated states.
+    fn assert_same_state(a: &TargetGraph, b: &TargetGraph) {
+        assert_eq!(a.tree_edges, b.tree_edges);
+        assert_eq!(a.join_attrs, b.join_attrs);
+        assert_eq!(a.projections, b.projections);
+        for (x, y, what) in [
+            (a.corr, b.corr, "corr"),
+            (a.weight, b.weight, "weight"),
+            (a.quality, b.quality, "quality"),
+            (a.price, b.price, "price"),
+        ] {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what} diverged: {x} vs {y}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// Every state a seeded walk visits — accepted or not — evaluates
+        /// bit-identically through the incremental engine and through the
+        /// fresh `evaluate_assignment` reference, on randomized typed/NULL
+        /// catalogs: at memo caps {0, 1, 512}, cold and warm evaluation
+        /// caches, executors {1, 4}, with and without §3.2 re-sampling (a
+        /// tiny η forces `TreeSel::retain` on the composed selection).
+        #[test]
+        fn engine_matches_reference_on_every_visited_state(
+            catalog in search_catalog::arb_search_catalog(),
+            seed in 0u64..1000,
+            resample_on in 0u64..2,
+        ) {
+            let (metas, samples) = catalog;
+            let tree_edges = [(0u32, 1u32), (1, 2)];
+            let mut sc = Cover::new();
+            sc.insert(0, AttrSet::from_names(["sc_src"]));
+            let mut tc = Cover::new();
+            tc.insert(2, AttrSet::from_names(["sc_tgt"]));
+            let source = AttrSet::from_names(["sc_src"]);
+            let target = AttrSet::from_names(["sc_tgt"]);
+            let free = FxHashSet::default();
+            let cfg = McmcConfig {
+                iterations: 30,
+                seed,
+                resample: (resample_on == 1).then_some(ResampleConfig {
+                    eta: 16,
+                    rate: 0.5,
+                    seed: seed ^ 7,
+                }),
+                ..McmcConfig::default()
+            };
+            for threads in [1usize, 4] {
+                let graph = JoinGraph::build(
+                    metas.clone(),
+                    samples.clone(),
+                    EntropyPricing::default(),
+                    &JoinGraphConfig {
+                        executor: Executor::with_grain(threads, 1),
+                        ..JoinGraphConfig::default()
+                    },
+                )
+                .unwrap();
+                let cands: Vec<&[AttrSet]> = tree_edges
+                    .iter()
+                    .map(|&(a, b)| graph.candidate_join_sets(a, b))
+                    .collect();
+                for memo_cap in [0usize, 1, 512] {
+                    graph.clear_eval_caches();
+                    // Cold evaluation caches first, then warm ones.
+                    for _ in 0..2 {
+                        let memo = ShardedLru::new(memo_cap);
+                        let mut engine = EvalEngine::new(
+                            &graph, &free, &tree_edges, cands.clone(), &sc, &tc, &source,
+                            &target, &cfg, &memo,
+                        )
+                        .unwrap();
+                        let mut visited = 0;
+                        let mut evaluate = |idxs: &[u32]| -> Result<TargetGraph> {
+                            let tg = engine.evaluate(idxs)?;
+                            let attrs: Vec<AttrSet> = idxs
+                                .iter()
+                                .zip(&cands)
+                                .map(|(&i, c)| c[i as usize].clone())
+                                .collect();
+                            let reference = evaluate_assignment(
+                                &graph, &free, &tree_edges, &attrs, &sc, &tc, &source, &target,
+                                None, cfg.resample.as_ref(), &cfg.tane,
+                            )?;
+                            assert_same_state(&tg, &reference);
+                            visited += 1;
+                            Ok(tg)
+                        };
+                        walk_chain(
+                            &mut evaluate,
+                            &cands,
+                            &[0, 0],
+                            &Constraints::unbounded(),
+                            cfg.iterations,
+                            1.0,
+                            &mut StdRng::seed_from_u64(seed),
+                        )
+                        .unwrap();
+                        // Every edge has 3 candidates, so every iteration
+                        // proposes (and checks) one state.
+                        proptest::prop_assert_eq!(visited, cfg.iterations + 1);
+                    }
+                }
+                proptest::prop_assert!(graph.sel_cache_len() > 0, "selection cache populated");
+                proptest::prop_assert!(graph.proj_cache_len() > 0, "projection cache populated");
             }
         }
-        assert!(g.sel_cache_len() > 0, "walk populated the selection cache");
-        assert!(
-            g.proj_cache_len() > 0,
-            "walk populated the projection cache"
-        );
     }
 
     #[test]

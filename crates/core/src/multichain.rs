@@ -1,12 +1,13 @@
 //! # Parallel multi-chain MCMC search (§5.2, Algorithm 1 × N)
 //!
-//! [`McmcConfig::chains`](crate::mcmc::McmcConfig) > 1 runs N independent
-//! Metropolis chains over the same candidate space and keeps the best target
-//! graph any of them found. Chains differ only in their RNG stream (seeds
-//! derived deterministically from the base seed, [`chain_seed`]) and,
-//! optionally, their acceptance temperature ([`chain_temperature`]); they
-//! share one concurrent, generation-free evaluation memo so an assignment
-//! evaluated by any chain is a cache hit for every other.
+//! Every search runs here: [`McmcConfig::chains`](crate::mcmc::McmcConfig)
+//! = N runs N independent Metropolis chains over the same candidate space
+//! and keeps the best target graph any of them found. Chains differ only in
+//! their RNG stream (seeds derived deterministically from the base seed,
+//! [`chain_seed`]) and, optionally, their acceptance temperature
+//! ([`chain_temperature`]); they share one concurrent, generation-free
+//! evaluation memo so an assignment evaluated by any chain is a cache hit for
+//! every other.
 //!
 //! ## Determinism contract
 //!
@@ -18,10 +19,9 @@
 //!   incumbent only on a strictly larger `corr`, so ties resolve to the
 //!   lowest chain index. Together these make the result bit-identical for a
 //!   given `(seed, N)` at every executor thread count.
-//! - `chains = 1` short-circuits in [`crate::mcmc`] before reaching this
-//!   module, so a single chain is bit-exact with the historical sequential
-//!   walk; and chain 0 here uses the base seed and temperature 1 verbatim,
-//!   so its walk is that same sequence.
+//! - Chain 0 uses the base seed and temperature 1 verbatim, so a
+//!   single-chain search (`chains` of 0 or 1) is exactly the sequential
+//!   seeded walk; a one-item fan-out runs inline on the calling thread.
 //!
 //! The fan-out runs on the graph's [`dance_executor::Executor`] via
 //! `par_map_init`, which constructs each chain's RNG from scratch per item —
@@ -69,7 +69,8 @@ pub fn chain_temperature(step: f64, chain: usize) -> f64 {
 ///
 /// Called by [`crate::mcmc::find_optimal_target_graph`] after it has
 /// prepared the candidate space and initial assignment (both shared by all
-/// chains). Errors surface from the lowest-indexed failing chain.
+/// chains). `chains` of 0 is treated as 1. Errors surface from the
+/// lowest-indexed failing chain.
 #[allow(clippy::too_many_arguments)] // mirrors find_optimal_target_graph's surface
 pub(crate) fn multichain_search(
     graph: &JoinGraph,
@@ -86,8 +87,8 @@ pub(crate) fn multichain_search(
 ) -> Result<Option<TargetGraph>> {
     let chains = cfg.chains.max(1);
     // One memo for the whole search: every chain walks the same assignment
-    // space, so the caps that sized one private memo size the shared one.
-    let shared_memo: ShardedLru<Box<[u32]>, TargetGraph> = ShardedLru::new(cfg.eval_memo_cap);
+    // space.
+    let memo: ShardedLru<Box<[u32]>, TargetGraph> = ShardedLru::new(cfg.eval_memo_cap);
     let chain_ids: Vec<usize> = (0..chains).collect();
 
     let results = graph.executor().par_map_init(
@@ -108,7 +109,7 @@ pub(crate) fn multichain_search(
                 cfg,
                 chain_temperature(cfg.temperature_step, k),
                 rng,
-                Some(&shared_memo),
+                &memo,
             )
         },
     );

@@ -5,8 +5,9 @@ use dance_core::mcmc::find_optimal_target_graph;
 use dance_core::target::{enumerate_covers, Cover};
 use dance_core::{chain_seed, Constraints, JoinGraph, JoinGraphConfig, McmcConfig};
 use dance_market::{DatasetId, DatasetMeta, EntropyPricing};
-use dance_relation::{AttrSet, Executor, FxHashSet, InternerRegistry, Table, Value, ValueType};
-use dance_sampling::ResampleConfig;
+use dance_relation::{
+    AttrSet, Executor, FxHashSet, InternerRegistry, Table, TableDelta, Value, ValueType,
+};
 use proptest::prelude::*;
 
 /// Random small marketplace catalogs: 3 instances over overlapping schemas
@@ -88,85 +89,10 @@ fn arb_str_catalog() -> impl Strategy<Value = (Vec<DatasetMeta>, Vec<Table>)> {
     })
 }
 
-/// Random 3-instance catalogs shaped for the MCMC search: both path edges
-/// share **two** attributes (one Int, one Str, both with NULLs and private
-/// per-table dictionaries), so every edge has 3 candidate join sets and the
-/// walk actually proposes flips; instance 0 carries the source attribute,
-/// instance 2 the target.
-fn arb_search_catalog() -> impl Strategy<Value = (Vec<DatasetMeta>, Vec<Table>)> {
-    (2usize..7, 8usize..40, 0u64..500).prop_map(|(k, n, seed)| {
-        let mk_key = |h: u64, shift: u32, idx: usize| {
-            let v = (h >> shift) % (k as u64 + 1);
-            (
-                if v == 0 {
-                    Value::Null
-                } else {
-                    Value::Int(v as i64)
-                },
-                if (h >> (shift + 3)).is_multiple_of(k as u64 + 1) {
-                    Value::Null
-                } else {
-                    Value::str(format!("s{}", (h >> (shift + 3)) % (k as u64 + idx as u64)))
-                },
-            )
-        };
-        let mut metas = Vec::new();
-        let mut samples = Vec::new();
-        // d0(ik, sk, src) — d1(ik, sk, jk, jl) — d2(jk, jl, tgt).
-        let specs: [(&str, &[(&str, ValueType)]); 3] = [
-            (
-                "sc_d0",
-                &[
-                    ("sc_ik", ValueType::Int),
-                    ("sc_sk", ValueType::Str),
-                    ("sc_src", ValueType::Int),
-                ],
-            ),
-            (
-                "sc_d1",
-                &[
-                    ("sc_ik", ValueType::Int),
-                    ("sc_sk", ValueType::Str),
-                    ("sc_jk", ValueType::Int),
-                    ("sc_jl", ValueType::Str),
-                ],
-            ),
-            (
-                "sc_d2",
-                &[
-                    ("sc_jk", ValueType::Int),
-                    ("sc_jl", ValueType::Str),
-                    ("sc_tgt", ValueType::Str),
-                ],
-            ),
-        ];
-        for (idx, (name, attrs)) in specs.into_iter().enumerate() {
-            let rows: Vec<Vec<Value>> = (0..n)
-                .map(|r| {
-                    let h = dance_relation::hash::stable_hash64(seed + idx as u64, &(r as u64));
-                    let (ik, sk) = mk_key(h, 0, idx + 1);
-                    let (jk, jl) = mk_key(h, 16, idx + 2);
-                    match idx {
-                        0 => vec![ik, sk, Value::Int((h % 7) as i64)],
-                        1 => vec![ik, sk, jk, jl],
-                        _ => vec![jk, jl, Value::str(format!("t{}", h % 5))],
-                    }
-                })
-                .collect();
-            let t = Table::from_rows(name, attrs, rows).unwrap();
-            metas.push(DatasetMeta {
-                id: DatasetId(idx as u32),
-                name: t.name().to_string(),
-                schema: t.schema().clone(),
-                num_rows: t.num_rows(),
-                default_key: AttrSet::singleton(t.schema().attributes()[0].id),
-                version: 0,
-            });
-            samples.push(t);
-        }
-        (metas, samples)
-    })
+mod search_catalog {
+    include!("support/search_catalog.rs");
 }
+use search_catalog::arb_search_catalog;
 
 /// Bit-exact equality of two optional target graphs.
 fn assert_same_target(
@@ -323,102 +249,54 @@ proptest! {
         }
     }
 
-    /// The LRU bound holds for arbitrary caps: after build and after a
-    /// refresh, the cache never exceeds the cap and refreshed weights stay
-    /// bit-identical to a from-scratch rebuild.
+    /// The LRU bound holds for arbitrary caps: after build, after a refresh
+    /// and across `apply_delta` waves — all three share one re-weigh round —
+    /// the cache never exceeds the cap, and weights stay bit-identical to a
+    /// from-scratch rebuild over the current samples.
     #[test]
-    fn hist_cache_cap_property(catalog in arb_catalog(), cap in 1usize..8) {
-        let (metas, samples) = catalog;
-        let mut g = JoinGraph::build(
-            metas.clone(),
-            samples.clone(),
-            EntropyPricing::default(),
-            &JoinGraphConfig {
-                hist_cache_cap: cap,
-                ..JoinGraphConfig::default()
-            },
-        )
-        .unwrap();
-        prop_assert!(g.hist_cache_len() <= cap);
-        g.refresh_sample(0, samples[0].clone()).unwrap();
-        prop_assert!(g.hist_cache_len() <= cap);
-        let rebuilt = JoinGraph::build(
-            metas,
-            samples,
-            EntropyPricing::default(),
-            &JoinGraphConfig::default(),
-        )
-        .unwrap();
-        for (a, b) in g.i_edges().iter().zip(rebuilt.i_edges()) {
-            prop_assert_eq!(a.weight.to_bits(), b.weight.to_bits());
-        }
-    }
-
-    /// The incremental MCMC engine (cached per-hop selections, cached
-    /// projections/prices, evaluation memo) visits bit-identical states to
-    /// the fresh `evaluate_assignment` walk: same best target graph — join
-    /// attributes, projections, and every metric bit-exact — over full
-    /// seeded walks on randomized typed/NULL catalogs, with §3.2 re-sampling
-    /// firing mid-walk, at executors {1, 4}, cold *and* warm caches.
-    #[test]
-    fn incremental_search_matches_fresh_search(
-        catalog in arb_search_catalog(),
-        seed in 0u64..1000,
-        resample_on in 0u64..2,
-    ) {
-        let resample = resample_on == 1;
-        let (metas, samples) = catalog;
-        let tree_edges = [(0u32, 1u32), (1u32, 2u32)];
-        let mut sc = Cover::new();
-        sc.insert(0, AttrSet::from_names(["sc_src"]));
-        let mut tc = Cover::new();
-        tc.insert(2, AttrSet::from_names(["sc_tgt"]));
-        let source = AttrSet::from_names(["sc_src"]);
-        let target = AttrSet::from_names(["sc_tgt"]);
-        let cfg = |incremental: bool| McmcConfig {
-            iterations: 30,
-            seed,
-            // A tiny η forces TreeSel::retain on the composed selection.
-            resample: resample.then_some(ResampleConfig { eta: 16, rate: 0.5, seed: seed ^ 7 }),
-            incremental,
-            ..McmcConfig::default()
-        };
-        for threads in [1usize, 4] {
-            let graph = JoinGraph::build(
+    fn hist_cache_cap_property(catalog in arb_catalog(), cap in 0usize..8, waves in 1usize..4) {
+        let (metas, mut samples) = catalog;
+        let build = |samples: &[Table], cap: usize| {
+            JoinGraph::build(
                 metas.clone(),
-                samples.clone(),
+                samples.to_vec(),
                 EntropyPricing::default(),
                 &JoinGraphConfig {
-                    executor: Executor::with_grain(threads, 1),
+                    hist_cache_cap: cap,
                     ..JoinGraphConfig::default()
                 },
             )
-            .unwrap();
-            let run = |incremental: bool| {
-                find_optimal_target_graph(
-                    &graph,
-                    &FxHashSet::default(),
-                    &tree_edges,
-                    &sc,
-                    &tc,
-                    &source,
-                    &target,
-                    &Constraints::unbounded(),
-                    &cfg(incremental),
-                )
-                .unwrap()
-            };
-            let fresh = run(false);
-            // The fresh reference itself populated the projection/price
-            // caches; clear so the first incremental run is genuinely cold.
-            graph.clear_eval_caches();
-            let cold = run(true);
-            assert_same_target(&cold, &fresh)?;
-            // Second incremental run rides fully warm caches.
-            let warm = run(true);
-            assert_same_target(&warm, &fresh)?;
-            prop_assert!(graph.sel_cache_len() > 0, "selection cache populated");
-            prop_assert!(graph.proj_cache_len() > 0, "projection cache populated");
+            .unwrap()
+        };
+        let assert_rebuilt = |g: &JoinGraph, samples: &[Table]| -> Result<(), TestCaseError> {
+            let rebuilt = build(samples, dance_core::DEFAULT_HIST_CACHE_CAP);
+            for (a, b) in g.i_edges().iter().zip(rebuilt.i_edges()) {
+                prop_assert_eq!(a.weight.to_bits(), b.weight.to_bits());
+                for cand in g.candidate_join_sets(a.a, a.b) {
+                    let wa = g.weight(a.a, a.b, cand).unwrap();
+                    let wb = rebuilt.weight(a.a, a.b, cand).unwrap();
+                    prop_assert_eq!(wa.to_bits(), wb.to_bits());
+                }
+            }
+            Ok(())
+        };
+        let mut g = build(&samples, cap);
+        prop_assert!(g.hist_cache_len() <= cap);
+        g.refresh_sample(0, samples[0].clone()).unwrap();
+        prop_assert!(g.hist_cache_len() <= cap);
+        assert_rebuilt(&g, &samples)?;
+        for w in 0..waves {
+            let v = w % samples.len();
+            // Catalog samples have at least one row, and each wave deletes
+            // one row and inserts one.
+            let delta = TableDelta::new(
+                vec![vec![Value::Int(w as i64), Value::Int(w as i64 + 1)]],
+                vec![(w % samples[v].num_rows()) as u32],
+            );
+            samples[v] = samples[v].apply_delta(&delta).unwrap();
+            g.apply_delta(v as u32, &delta).unwrap();
+            prop_assert!(g.hist_cache_len() <= cap, "cap {} violated after delta {}", cap, w);
+            assert_rebuilt(&g, &samples)?;
         }
     }
 
