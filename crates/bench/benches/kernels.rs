@@ -2,17 +2,22 @@
 //! entropy, join informativeness, partitions/quality, joins, sampling, and
 //! the per-iteration cost of the MCMC search.
 //!
-//! The `dense_vs_legacy` group pins the dictionary-encoded group-id kernels
-//! against the retained per-row `GroupKey` reference implementations
-//! (`dance_relation::histogram::legacy`) on the seed TPC-H workloads, and the
-//! `seq_vs_par` group measures the scoped-thread executor at 1/2/4/8 workers
-//! on a larger TPC-H instance (group-id encoding, entropy, JI and the full
-//! `JoinGraph::build`), and the `catalog_update` group pins delta-based
-//! catalog maintenance (`JoinGraph::apply_delta`) against the full
-//! `refresh_sample` rebuild it replaces, and the `session_service` group
-//! drives batches of concurrent acquisition sessions (sessions/sec, p99
-//! session latency at 1/4 workers with a seller update landing mid-batch),
-//! so the speedups of every layer are measured, not assumed:
+//! Beyond the single-kernel entries, the groups measure every layer's
+//! speedup rather than assuming it:
+//!
+//! * `join_pipeline`: the symbol-native join pipeline against the per-hop
+//!   materializing chain;
+//! * `seq_vs_par`: the scoped-thread executor at 1/2/4/8 workers on a larger
+//!   TPC-H instance (group-id encoding, entropy, JI and the full
+//!   `JoinGraph::build`);
+//! * `mcmc_search` / `mcmc_multichain`: the cached MCMC walk, one chain and
+//!   best-of-N;
+//! * `catalog_update`: delta-based catalog maintenance
+//!   (`JoinGraph::apply_delta`) against the full `refresh_sample` rebuild it
+//!   replaces;
+//! * `session_service`: batches of concurrent acquisition sessions
+//!   (sessions/sec, p99 session latency at 1/4 workers with a seller update
+//!   landing mid-batch).
 //!
 //! ```sh
 //! cargo bench -p dance-bench --bench kernels
@@ -22,21 +27,19 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dance_core::mcmc::find_optimal_target_graph;
 use dance_core::target::Cover;
 use dance_core::{Constraints, JoinGraph, JoinGraphConfig, McmcConfig};
-use dance_datagen::tpch::{tpch, tpch_interned, TpchConfig};
+use dance_datagen::tpch::{tpch, TpchConfig};
 use dance_info::{
-    correlation, entropy_from_counts, ji_from_counts, join_informativeness,
-    join_informativeness_keyed, join_informativeness_with, shannon_entropy, shannon_entropy_with,
+    correlation, join_informativeness, join_informativeness_with, shannon_entropy,
+    shannon_entropy_with,
 };
 use dance_market::{
     DatasetId, DatasetMeta, EntropyPricing, Marketplace, ProjectionQuery, SessionConfig,
     SessionManager, SessionManagerConfig,
 };
-use dance_quality::{discover_afds, quality, Fd, Partition, TaneConfig};
-use dance_relation::histogram::legacy;
+use dance_quality::{discover_afds, quality, Fd, TaneConfig};
 use dance_relation::join::{hash_join, JoinKind};
 use dance_relation::{
-    group_ids, group_ids_with, sym_counts, value_counts, AttrSet, Executor, InternerRegistry,
-    Table, TableDelta, Value, ValueType,
+    group_ids_with, AttrSet, Executor, InternerRegistry, Table, TableDelta, Value, ValueType,
 };
 use dance_sampling::CorrelatedSampler;
 use std::hint::black_box;
@@ -79,231 +82,9 @@ fn metas_of(ts: &[Table]) -> Vec<DatasetMeta> {
         .collect()
 }
 
-/// Dense group-id kernels vs. the legacy per-row `GroupKey` reference, on the
-/// same inputs. Each pair of entries (`dense/...` vs `legacy/...`) computes
-/// the identical quantity.
-fn bench_dense_vs_legacy(c: &mut Criterion) {
-    let ts = tables();
-    let orders = by_name(&ts, "orders");
-    let customer = by_name(&ts, "customer");
-    let lineitem = by_name(&ts, "lineitem");
-
-    let mut g = c.benchmark_group("dense_vs_legacy");
-
-    // Histogram of an Int key on the largest table.
-    let on = AttrSet::from_names(["orderkey"]);
-    g.bench_with_input(
-        BenchmarkId::new("dense", "counts_lineitem_orderkey"),
-        lineitem,
-        |b, t| b.iter(|| value_counts(black_box(t), &on).unwrap()),
-    );
-    g.bench_with_input(
-        BenchmarkId::new("legacy", "counts_lineitem_orderkey"),
-        lineitem,
-        |b, t| b.iter(|| legacy::value_counts(black_box(t), &on).unwrap()),
-    );
-
-    // Entropy of a Str attribute (dictionary fast path, no keys at all).
-    let status = AttrSet::from_names(["o_orderstatus"]);
-    g.bench_with_input(
-        BenchmarkId::new("dense", "entropy_orders_status"),
-        orders,
-        |b, t| b.iter(|| shannon_entropy(black_box(t), &status).unwrap()),
-    );
-    g.bench_with_input(
-        BenchmarkId::new("legacy", "entropy_orders_status"),
-        orders,
-        |b, t| {
-            b.iter(|| {
-                let counts = legacy::value_counts(black_box(t), &status).unwrap();
-                entropy_from_counts(counts.values().copied(), t.num_rows() as u64)
-            })
-        },
-    );
-
-    // Multi-attribute compound key (Str + Str).
-    let compound = AttrSet::from_names(["c_city", "c_state"]);
-    g.bench_with_input(
-        BenchmarkId::new("dense", "entropy_customer_city_state"),
-        customer,
-        |b, t| b.iter(|| shannon_entropy(black_box(t), &compound).unwrap()),
-    );
-    g.bench_with_input(
-        BenchmarkId::new("legacy", "entropy_customer_city_state"),
-        customer,
-        |b, t| {
-            b.iter(|| {
-                let counts = legacy::value_counts(black_box(t), &compound).unwrap();
-                entropy_from_counts(counts.values().copied(), t.num_rows() as u64)
-            })
-        },
-    );
-
-    // Join informativeness: histograms on both sides + the JI fold.
-    let custkey = AttrSet::from_names(["custkey"]);
-    g.bench_with_input(
-        BenchmarkId::new("dense", "ji_orders_customer"),
-        orders,
-        |b, t| {
-            b.iter(|| join_informativeness(black_box(t), black_box(customer), &custkey).unwrap())
-        },
-    );
-    g.bench_with_input(
-        BenchmarkId::new("legacy", "ji_orders_customer"),
-        orders,
-        |b, t| {
-            b.iter(|| {
-                ji_from_counts(
-                    &legacy::value_counts(black_box(t), &custkey).unwrap(),
-                    &legacy::value_counts(black_box(customer), &custkey).unwrap(),
-                )
-            })
-        },
-    );
-
-    // Equivalence-class partition (Def 2.1) of a Str attribute.
-    let city = AttrSet::from_names(["c_city"]);
-    g.bench_with_input(
-        BenchmarkId::new("dense", "partition_customer_city"),
-        customer,
-        |b, t| b.iter(|| Partition::by(black_box(t), &city).unwrap()),
-    );
-    g.bench_with_input(
-        BenchmarkId::new("legacy", "partition_customer_city"),
-        customer,
-        |b, t| {
-            b.iter(|| {
-                let classes: Vec<Vec<u32>> = legacy::group_rows(black_box(t), &city)
-                    .unwrap()
-                    .into_values()
-                    .collect();
-                Partition::from_classes(classes, t.num_rows())
-            })
-        },
-    );
-
-    // The raw group-id pass itself, for reference.
-    g.bench_with_input(
-        BenchmarkId::new("dense", "group_ids_lineitem_orderkey"),
-        lineitem,
-        |b, t| b.iter(|| group_ids(black_box(t), &on).unwrap()),
-    );
-
-    g.finish();
-}
-
-/// Interned-symbol cross-table kernels vs. the materialized-`GroupKey` path
-/// on identical logical inputs (both compute bit-identical values). `keyed/…`
-/// entries materialize one boxed `Value` key per group and hash those;
-/// `interned/…` entries run on dense symbol words via registry-shared
-/// dictionaries — the PR-3 tentpole's claimed win.
-fn bench_interned_vs_keyed(c: &mut Criterion) {
-    let reg = InternerRegistry::new();
-    let ts = tpch(&TpchConfig {
-        scale: 20.0,
-        dirty_fraction: 0.3,
-        seed: 42,
-    })
-    .expect("generation");
-    let tsi = tpch_interned(
-        &reg,
-        &TpchConfig {
-            scale: 20.0,
-            dirty_fraction: 0.3,
-            seed: 42,
-        },
-    )
-    .expect("generation");
-    let orders = by_name(&ts, "orders");
-    let customer = by_name(&ts, "customer");
-    let orders_i = by_name(&tsi, "orders");
-    let customer_i = by_name(&tsi, "customer");
-
-    // A high-cardinality Str-keyed pair (overlapping halves of a 30k-string
-    // domain) — the case where boxed keys hurt most: per-group `Arc` clones
-    // plus string-byte hashing on both histogram build and JI fold.
-    let str_table = |reg: Option<&InternerRegistry>, name: &str, lo: usize, hi: usize| {
-        let rows: Vec<Vec<Value>> = (0..60_000)
-            .map(|i| vec![Value::str(format!("key{}", lo + i % (hi - lo)))])
-            .collect();
-        let attrs = [("bk_key", ValueType::Str)];
-        match reg {
-            Some(reg) => Table::from_rows_interned(reg, name, &attrs, rows).unwrap(),
-            None => Table::from_rows(name, &attrs, rows).unwrap(),
-        }
-    };
-    let sl = str_table(None, "SL", 0, 20_000);
-    let sr = str_table(None, "SR", 10_000, 30_000);
-    let sl_i = str_table(Some(&reg), "SL", 0, 20_000);
-    let sr_i = str_table(Some(&reg), "SR", 10_000, 30_000);
-
-    let mut g = c.benchmark_group("interned_vs_keyed");
-    let custkey = AttrSet::from_names(["custkey"]);
-    g.bench_with_input(
-        BenchmarkId::new("keyed", "ji_orders_customer"),
-        orders,
-        |b, t| b.iter(|| join_informativeness_keyed(black_box(t), black_box(customer), &custkey)),
-    );
-    g.bench_with_input(
-        BenchmarkId::new("interned", "ji_orders_customer"),
-        orders_i,
-        |b, t| b.iter(|| join_informativeness(black_box(t), black_box(customer_i), &custkey)),
-    );
-
-    let bk = AttrSet::from_names(["bk_key"]);
-    g.bench_with_input(BenchmarkId::new("keyed", "ji_str_30k_keys"), &sl, |b, t| {
-        b.iter(|| join_informativeness_keyed(black_box(t), black_box(&sr), &bk))
-    });
-    g.bench_with_input(
-        BenchmarkId::new("interned", "ji_str_30k_keys"),
-        &sl_i,
-        |b, t| b.iter(|| join_informativeness(black_box(t), black_box(&sr_i), &bk)),
-    );
-
-    g.bench_with_input(
-        BenchmarkId::new("keyed", "hist_str_30k_keys"),
-        &sl,
-        |b, t| b.iter(|| value_counts(black_box(t), &bk).unwrap()),
-    );
-    g.bench_with_input(
-        BenchmarkId::new("interned", "hist_str_30k_keys"),
-        &sl_i,
-        |b, t| b.iter(|| sym_counts(black_box(t), &bk).unwrap()),
-    );
-
-    // Whole-graph construction over the interned vs plain catalog (same
-    // weights bit-for-bit; plain pays the GroupKey materialization in every
-    // histogram, interned runs on symbols end to end — both go through the
-    // current sym build, so the delta here is dictionary sharing itself).
-    let metas = metas_of(&ts);
-    let cfg = JoinGraphConfig::default();
-    g.bench_with_input(
-        BenchmarkId::new("keyed_dicts", "join_graph_build"),
-        &ts,
-        |b, ts| {
-            b.iter(|| {
-                JoinGraph::build(metas.clone(), ts.to_vec(), EntropyPricing::default(), &cfg)
-                    .unwrap()
-            })
-        },
-    );
-    g.bench_with_input(
-        BenchmarkId::new("interned", "join_graph_build"),
-        &tsi,
-        |b, ts| {
-            b.iter(|| {
-                JoinGraph::build(metas.clone(), ts.to_vec(), EntropyPricing::default(), &cfg)
-                    .unwrap()
-            })
-        },
-    );
-    g.finish();
-}
-
 /// The symbol-native late-materialization join pipeline vs the per-hop
-/// materializing chain, on string-keyed multi-hop paths — the join-layer
-/// twin of `interned_vs_keyed`. `per_hop/…` gathers a full intermediate
-/// table at every hop (`join_tree_bounded_tables`); `late/…` composes
+/// materializing chain, on string-keyed multi-hop paths. `per_hop/…`
+/// gathers a full intermediate table at every hop (`join_tree_bounded_tables`); `late/…` composes
 /// selection vectors and materializes once (`join_tree_bounded`). Both
 /// produce identical tables (pinned by `tests/join_pipeline.rs`); the
 /// shared-dict entries probe registry-shared `u32` symbols verbatim, the
@@ -947,6 +728,6 @@ fn bench_kernels(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_dense_vs_legacy, bench_interned_vs_keyed, bench_join_pipeline, bench_seq_vs_par, bench_mcmc_search, bench_mcmc_multichain, bench_catalog_update, bench_session_service, bench_kernels
+    targets = bench_join_pipeline, bench_seq_vs_par, bench_mcmc_search, bench_mcmc_multichain, bench_catalog_update, bench_session_service, bench_kernels
 }
 criterion_main!(kernels);

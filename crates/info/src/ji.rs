@@ -495,9 +495,9 @@ pub fn join_informativeness_with(
 
 /// The materialized-`GroupKey` reference implementation of
 /// [`join_informativeness`]: value histograms + [`ji_from_counts`]. Kept for
-/// property-test pinning, the `interned_vs_keyed` bench, and join attribute
-/// sets wider than the symbol layout's 63-attribute bound; produces
-/// bit-identical results to the symbol path.
+/// property-test pinning and join attribute sets wider than the symbol
+/// layout's 63-attribute bound; produces bit-identical results to the symbol
+/// path.
 pub fn join_informativeness_keyed(d1: &Table, d2: &Table, j: &AttrSet) -> Result<f64> {
     check_join_attrs(j)?;
     let lc = dance_relation::value_counts(d1, j)?;

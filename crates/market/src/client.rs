@@ -320,6 +320,11 @@ fn timeout_error() -> io::Error {
     io::Error::new(io::ErrorKind::TimedOut, WireError::Timeout)
 }
 
+/// The server's transient "session attached to another connection" answer.
+fn is_session_busy(reply: &Reply) -> bool {
+    matches!(reply.fault(), Some(f) if f.code == FaultCode::Rejected && *f == wire::Fault::session_busy())
+}
+
 impl WireClient {
     /// Connect speaking protocol v1, no handshake, no retries — the
     /// pre-resumption client, byte-compatible with the v1 frame stream.
@@ -448,18 +453,18 @@ impl WireClient {
         Err(timeout_error())
     }
 
-    /// Decode (and optionally record) the complete frame heading the
-    /// receive buffer, draining it. Learns resumption tokens from v2
-    /// `OpenSession` replies as they pass through.
+    /// Decode the complete frame heading the receive buffer, draining it,
+    /// and record it when `record` accepts the decoded reply. Learns
+    /// resumption tokens from v2 `OpenSession` replies as they pass through.
     fn take_reply(
         &mut self,
         h: &wire::FrameHeader,
         frame_len: usize,
-        record: bool,
+        record: fn(&Reply) -> bool,
     ) -> io::Result<Reply> {
         let reply = wire::decode_reply_v(h.version, h.opcode, &self.recv[HEADER_LEN..frame_len])
             .map_err(protocol_io_error)?;
-        if record && self.record && h.request_id < CTRL_ID_BASE {
+        if self.record && h.request_id < CTRL_ID_BASE && record(&reply) {
             self.transcript.extend_from_slice(&self.recv[..frame_len]);
         }
         self.recv.drain(..frame_len);
@@ -476,17 +481,18 @@ impl WireClient {
     /// [`WireError::Timeout`] once the read deadline expires.
     pub fn recv_reply(&mut self) -> io::Result<(u64, Reply)> {
         let (h, frame_len) = self.next_frame(self.read_timeout)?;
-        let reply = self.take_reply(&h, frame_len, true)?;
+        let reply = self.take_reply(&h, frame_len, |_| true)?;
         Ok((h.request_id, reply))
     }
 
     /// Await the reply for `request_id` under `deadline`, draining (without
-    /// recording) stale frames from earlier timed-out attempts.
+    /// recording) stale frames from earlier timed-out attempts; `record`
+    /// decides whether the reply itself enters the transcript.
     fn await_reply(
         &mut self,
         request_id: u64,
         deadline: Duration,
-        record: bool,
+        record: fn(&Reply) -> bool,
     ) -> io::Result<Reply> {
         let start = Instant::now();
         let mut first = true;
@@ -511,7 +517,10 @@ impl WireClient {
     /// (and panics if the response id does not match — only valid with no
     /// other requests in flight). With a policy, failures reconnect,
     /// resume and retry under the original request id, bounded by
-    /// `attempts`.
+    /// `attempts`; so does a [`Fault::session_busy`] answer, which is never
+    /// recorded.
+    ///
+    /// [`Fault::session_busy`]: wire::Fault::session_busy
     pub fn call(&mut self, req: &Request) -> io::Result<Reply> {
         match self.retry {
             None => {
@@ -546,7 +555,18 @@ impl WireClient {
                 last = Some(e);
                 continue;
             }
-            match self.await_reply(id, policy.op_timeout, true) {
+            match self.await_reply(id, policy.op_timeout, |r| !is_session_busy(r)) {
+                Ok(reply) if is_session_busy(&reply) => {
+                    // A retried `OpenSession` reached this connection while
+                    // the session is still attached to the one that failed:
+                    // back off on this connection until the server parks it,
+                    // as `resume_one` does. The fault-free run never sees
+                    // this frame, so it stays out of the transcript.
+                    last = Some(io::Error::new(
+                        io::ErrorKind::ResourceBusy,
+                        wire::Fault::session_busy().to_string(),
+                    ));
+                }
                 Ok(reply) => return Ok(reply),
                 Err(e) => {
                     // Timeouts reconnect too: the attempt's fate is
@@ -582,7 +602,7 @@ impl WireClient {
         );
         self.flush()?;
         let deadline = self.ctrl_deadline();
-        match self.await_reply(id, deadline, false)? {
+        match self.await_reply(id, deadline, |_| false)? {
             Reply::Ok(Response::Hello { version, features }) => {
                 self.version = version.clamp(wire::MIN_PROTOCOL_VERSION, wire::PROTOCOL_VERSION);
                 Ok((version, features))
@@ -645,7 +665,7 @@ impl WireClient {
             self.next_ctrl_id += 1;
             wire::encode_request_v(&mut self.send, self.version, id, &Request::Resume { token });
             self.flush()?;
-            match self.await_reply(id, policy.op_timeout, false)? {
+            match self.await_reply(id, policy.op_timeout, |_| false)? {
                 Reply::Ok(Response::Resume { .. }) => return Ok(()),
                 Reply::Fault(f) if f.code == FaultCode::Rejected => {
                     // Still attached to the dying connection; back off and

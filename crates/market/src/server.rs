@@ -1663,6 +1663,67 @@ mod tests {
         panic!("session never parked");
     }
 
+    /// A retried v2 `OpenSession` that reaches a second connection while the
+    /// first still holds the session is answered `session_busy`. The retrying
+    /// client backs off under the same request id until the first connection
+    /// dies and parks the session, then receives the recorded open frame;
+    /// the busy frames never reach its transcript.
+    #[test]
+    fn retried_open_waits_out_session_busy_without_recording_it() {
+        let mgr = resilient_service(8);
+        let server = Server::start(Arc::clone(&mgr), ServerConfig::default()).unwrap();
+        let open = Request::OpenSession {
+            shopper: 9,
+            seed: 21,
+            budget: 100.0,
+        };
+        let mut c1 = WireClient::builder(server.addr())
+            .recording()
+            .connect()
+            .unwrap();
+        let first = c1.call(&open).unwrap();
+        assert!(first.ok().is_some(), "expected open, got {first:?}");
+        let transcript = c1.transcript().to_vec();
+
+        // c2's first logical request carries c1's id and bytes: exactly what
+        // c1's own retry would send after reconnecting.
+        let mut c2 = WireClient::builder(server.addr())
+            .recording()
+            .retry(crate::client::RetryPolicy {
+                attempts: 40,
+                op_timeout: Duration::from_secs(2),
+                base_backoff: Duration::from_millis(5),
+                max_backoff: Duration::from_millis(50),
+                seed: 7,
+            })
+            .connect()
+            .unwrap();
+        let served = server.stats().requests_served;
+        let retrier = std::thread::spawn(move || (c2.call(&open), c2));
+        // Hold c1 until c2 has sent a second attempt (so the first was
+        // answered busy), or until c2 gave up and returned.
+        let start = Instant::now();
+        while server.stats().requests_served < served + 2 && !retrier.is_finished() {
+            assert!(
+                start.elapsed() < Duration::from_secs(20),
+                "c2 never retried"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(c1);
+        let (reply, c2) = retrier.join().unwrap();
+        assert_eq!(
+            reply.unwrap(),
+            first,
+            "the replayed open, not the busy fault"
+        );
+        assert_eq!(c2.transcript(), &transcript[..], "busy frames unrecorded");
+        assert_eq!(c2.reconnects(), 0, "busy is retried on the same connection");
+        let stats = server.shutdown();
+        assert_eq!(stats.sessions_opened, 1);
+        assert_eq!(stats.replay_hits, 1);
+    }
+
     #[test]
     fn bogus_tokens_cannot_resume() {
         let mgr = resilient_service(8);

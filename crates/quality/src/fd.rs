@@ -7,7 +7,6 @@
 //! them deterministically toward the sub-class containing the smallest row id,
 //! so quality values are reproducible across runs.
 
-use crate::partition::{Partition, SINGLETON};
 use dance_relation::{AttrId, AttrSet, Result, Table};
 use std::fmt;
 
@@ -56,62 +55,7 @@ impl fmt::Display for Fd {
 
 /// Membership mask of `C(D, F)` (Definition 2.2): `mask[r]` ⇔ row `r` correct.
 pub fn correct_rows(t: &Table, fd: &Fd) -> Result<Vec<bool>> {
-    let n = t.num_rows();
-    let px = Partition::by(t, &fd.lhs)?;
-    let pxa = px.product(&Partition::by(t, &AttrSet::singleton(fd.rhs))?);
-    let prod_map = pxa.row_class();
-
-    // Rows start correct; within every multi-row X-class, only the winning
-    // sub-class survives.
-    let mut mask = vec![true; n];
-    let mut counts: dance_relation::FxHashMap<u32, (usize, u32)> =
-        dance_relation::FxHashMap::default();
-    for class in px.classes() {
-        counts.clear();
-        // Track (size, smallest row) per sub-class; singletons individually.
-        let mut best: Option<(usize, u32, u32)> = None; // (size, first_row, class_id)
-        for &r in class {
-            let pc = prod_map[r as usize];
-            if pc == SINGLETON {
-                let cand = (1usize, r, SINGLETON - 1 - r); // unique pseudo-id
-                best = pick(best, cand);
-            } else {
-                let e = counts.entry(pc).or_insert((0, r));
-                e.0 += 1;
-                e.1 = e.1.min(r);
-            }
-        }
-        for (&pc, &(size, first)) in counts.iter() {
-            best = pick(best, (size, first, pc));
-        }
-        let (_, _, winner) = best.expect("non-empty class");
-        for &r in class {
-            let pc = prod_map[r as usize];
-            let is_winner = if pc == SINGLETON {
-                winner == SINGLETON - 1 - r
-            } else {
-                pc == winner
-            };
-            if !is_winner {
-                mask[r as usize] = false;
-            }
-        }
-    }
-    Ok(mask)
-}
-
-fn pick(best: Option<(usize, u32, u32)>, cand: (usize, u32, u32)) -> Option<(usize, u32, u32)> {
-    match best {
-        None => Some(cand),
-        Some(b) => {
-            // Larger size wins; tie → smaller first-row id (deterministic).
-            if cand.0 > b.0 || (cand.0 == b.0 && cand.1 < b.1) {
-                Some(cand)
-            } else {
-                Some(b)
-            }
-        }
-    }
+    crate::kernel::joint_mask(t, std::slice::from_ref(fd))
 }
 
 /// `Q(D, F) = |C(D, F)| / |D|` (Definition 2.2). Empty tables are fully correct.

@@ -7,8 +7,8 @@
 //! low-quality outputs and vice versa, which is why DANCE cannot clean first
 //! and must evaluate quality online.
 
-use crate::fd::{correct_rows, Fd};
-use crate::tane::{discover_afds, TaneConfig};
+use crate::fd::Fd;
+use crate::tane::TaneConfig;
 use dance_relation::{Result, Table};
 
 /// Mask of rows correct under **all** of `fds` (`C(J, F)` membership).
@@ -16,14 +16,7 @@ use dance_relation::{Result, Table};
 /// FDs whose attributes are absent from `t` are an error — quality against a
 /// dependency the table cannot express is undefined.
 pub fn joint_correct_rows(t: &Table, fds: &[Fd]) -> Result<Vec<bool>> {
-    let mut mask = vec![true; t.num_rows()];
-    for fd in fds {
-        let m = correct_rows(t, fd)?;
-        for (acc, b) in mask.iter_mut().zip(m) {
-            *acc &= b;
-        }
-    }
-    Ok(mask)
+    crate::kernel::joint_mask(t, fds)
 }
 
 /// `Q(J, F)` for an explicit FD set (Definition 2.3 with `F` given).
@@ -32,18 +25,28 @@ pub fn joint_quality(t: &Table, fds: &[Fd]) -> Result<f64> {
         return Ok(1.0);
     }
     let mask = joint_correct_rows(t, fds)?;
-    Ok(mask.iter().filter(|&&b| b).count() as f64 / t.num_rows() as f64)
+    Ok(share_correct(&mask))
 }
 
 /// Full Definition 2.3: discover the AFDs holding on the join result under
 /// `cfg`, then measure the joint quality against them.
 ///
-/// With no AFDs discovered the quality is vacuously 1. Exact key FDs keep all
-/// rows and do not affect the intersection.
+/// Discovery and the mask share one pass: every AFD clears the rows outside
+/// its correct-record set as soon as it is found, so nothing is regrouped.
+/// With no AFDs discovered the quality is vacuously 1. Exact FDs (key FDs
+/// included) keep all rows and do not affect the intersection.
 pub fn instance_set_quality(join: &Table, cfg: &TaneConfig) -> Result<f64> {
-    let afds = discover_afds(join, cfg)?;
-    let fds: Vec<Fd> = afds.into_iter().map(|d| d.fd).collect();
-    joint_quality(join, &fds)
+    if join.num_rows() == 0 {
+        return Ok(1.0);
+    }
+    let mut mask = vec![true; join.num_rows()];
+    crate::kernel::discover(join, cfg, Some(&mut mask))?;
+    Ok(share_correct(&mask))
+}
+
+/// `|C| / |J|` for a non-empty mask.
+fn share_correct(mask: &[bool]) -> f64 {
+    mask.iter().filter(|&&b| b).count() as f64 / mask.len() as f64
 }
 
 #[cfg(test)]

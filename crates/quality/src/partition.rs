@@ -4,13 +4,14 @@
 //! representation — singleton classes are dropped, since they can neither
 //! violate an FD nor change `g₃` — plus a dense row→class map for products.
 //!
-//! The **partition product** `π_X · π_Y = π_{X∪Y}` is the workhorse of
-//! levelwise FD discovery: it refines one partition by another in `O(n)`
-//! without touching values, which is what makes TANE tractable on the
-//! marketplace instances. The product runs on the same dense id-pair fold as
-//! multi-column grouping ([`dance_relation::group::fold_codes`]) rather than a
-//! per-class hash map; the original hash implementation survives under
-//! `#[cfg(test)]` as the pinning reference.
+//! [`Partition`] is the explicit, self-contained form of Definition 2.1: its
+//! classes, refinement test, partition product `π_X · π_Y = π_{X∪Y}` and
+//! [`Partition::g3_error`] state the definitions directly, and the property
+//! tests pin the production quality kernel (which never materializes a
+//! `Partition`) against a levelwise search built from them. The product runs
+//! on the same dense id-pair fold as multi-column grouping
+//! ([`dance_relation::group::fold_codes`]); the original per-class hash
+//! implementation survives under `#[cfg(test)]` as its own pinning reference.
 
 use dance_relation::group::fold_codes_with;
 use dance_relation::{group_ids_with, AttrSet, Executor, Result, Table};

@@ -2,9 +2,10 @@
 //!
 //! The paper's quality measure (Definition 2.3) needs "the set of AFDs that
 //! hold on `J`" for a join result `J` — so AFD discovery is a substrate, not
-//! an optional extra. This is a classic levelwise search (Huhtala et al. \[12\])
-//! over LHS candidates with partition products, using the `g₃` error
-//! (minimum row deletions) as the approximation measure:
+//! an optional extra, and it runs once for every candidate join the search
+//! evaluates. This is a classic levelwise search (Huhtala et al. \[12\]) over
+//! LHS candidates, using the `g₃` error (minimum row deletions) as the
+//! approximation measure:
 //!
 //! * `X → A` *holds* as an AFD iff `g₃(X → A) ≤ θ` — equivalently
 //!   `Q(D, X→A) ≥ 1 − θ` with the paper's quality (the experiments use
@@ -12,17 +13,22 @@
 //!   10%").
 //! * Only **minimal** AFDs are reported: `X → A` is skipped when some proper
 //!   subset of `X` already determines `A`.
-//! * Superkey LHSs (partitions with no stripped classes) determine every
-//!   attribute exactly; they are reported at their first (minimal) level and
-//!   never extended.
+//! * Superkey LHSs (no class of two or more rows) determine every attribute
+//!   exactly; they are reported at their first (minimal) level and never
+//!   extended.
+//!
+//! The search runs on the dense-id quality kernel (`kernel.rs`): each
+//! attribute is encoded once, each LHS is counting-sorted into its classes,
+//! and each `g₃` is one counting pass over the LHS's class support — the same
+//! pass [`crate::joint::instance_set_quality`] takes its correct-row mask
+//! from.
 //!
 //! Complexity is bounded by [`TaneConfig::max_lhs`] and
 //! [`TaneConfig::max_attrs`]; marketplace samples are modest, and the
 //! experiments only need LHSs of size ≤ 2–3.
 
 use crate::fd::Fd;
-use crate::partition::Partition;
-use dance_relation::{AttrId, AttrSet, FxHashMap, FxHashSet, Result, Table};
+use dance_relation::{Result, Table};
 
 /// Bounds and threshold for AFD discovery.
 #[derive(Debug, Clone, Copy)]
@@ -58,109 +64,13 @@ pub struct DiscoveredFd {
 ///
 /// Output is deterministic: sorted by (LHS size, LHS ids, RHS id).
 pub fn discover_afds(t: &Table, cfg: &TaneConfig) -> Result<Vec<DiscoveredFd>> {
-    let attrs: Vec<AttrId> = t
-        .schema()
-        .attributes()
-        .iter()
-        .take(cfg.max_attrs)
-        .map(|a| a.id)
-        .collect();
-    if attrs.len() < 2 || t.num_rows() == 0 || cfg.max_lhs == 0 {
-        return Ok(Vec::new());
-    }
-
-    // Singleton partitions, reused for every product.
-    let mut singles: FxHashMap<AttrId, Partition> = FxHashMap::default();
-    for &a in &attrs {
-        singles.insert(a, Partition::by(t, &AttrSet::singleton(a))?);
-    }
-
-    let mut discovered: Vec<DiscoveredFd> = Vec::new();
-    let mut holds: FxHashSet<(AttrSet, AttrId)> = FxHashSet::default();
-
-    // Current level: candidate LHSs with cached partitions.
-    let mut level: Vec<(AttrSet, Partition)> = attrs
-        .iter()
-        .map(|&a| (AttrSet::singleton(a), singles[&a].clone()))
-        .collect();
-
-    for lhs_size in 1..=cfg.max_lhs {
-        let mut next: Vec<(AttrSet, Partition)> = Vec::new();
-        for (x, px) in &level {
-            let superkey = px.support() == 0;
-            for &a in &attrs {
-                if x.contains(a) {
-                    continue;
-                }
-                if !minimal(&holds, x, a) {
-                    continue;
-                }
-                let error = if superkey {
-                    0.0
-                } else {
-                    let pxa = px.product(&singles[&a]);
-                    px.g3_error(&pxa)
-                };
-                if error <= cfg.error_threshold + 1e-12 {
-                    holds.insert((x.clone(), a));
-                    discovered.push(DiscoveredFd {
-                        fd: Fd {
-                            lhs: x.clone(),
-                            rhs: a,
-                        },
-                        error,
-                    });
-                }
-            }
-            // Extend: X ∪ {a} for a beyond max(X) (each set generated once);
-            // superkeys are never extended (supersets are non-minimal keys).
-            if lhs_size < cfg.max_lhs && !superkey {
-                let max_id = x.as_slice().last().copied().expect("non-empty LHS");
-                for &a in &attrs {
-                    if a <= max_id || x.contains(a) {
-                        continue;
-                    }
-                    let mut xa = x.clone();
-                    xa.insert(a);
-                    let pxa = px.product(&singles[&a]);
-                    next.push((xa, pxa));
-                }
-            }
-        }
-        level = next;
-        if level.is_empty() {
-            break;
-        }
-    }
-
-    discovered.sort_by(|a, b| {
-        (a.fd.lhs.len(), a.fd.lhs.as_slice(), a.fd.rhs).cmp(&(
-            b.fd.lhs.len(),
-            b.fd.lhs.as_slice(),
-            b.fd.rhs,
-        ))
-    });
-    Ok(discovered)
-}
-
-/// `true` iff no proper subset of `x` is already known to determine `a`.
-fn minimal(holds: &FxHashSet<(AttrSet, AttrId)>, x: &AttrSet, a: AttrId) -> bool {
-    if x.len() <= 1 {
-        return true;
-    }
-    // All proper non-empty subsets; |x| is ≤ max_lhs (small).
-    for sub in x.nonempty_subsets() {
-        if sub.len() < x.len() && holds.contains(&(sub.clone(), a)) {
-            return false;
-        }
-    }
-    true
+    crate::kernel::discover(t, cfg, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dance_relation::{attr, Table, Value, ValueType};
+    use dance_relation::{attr, AttrId, AttrSet, Table, Value, ValueType};
 
     fn zip_state_city(n_bad: usize) -> Table {
         // zipcode → state holds with `n_bad` violations out of 100 rows.
