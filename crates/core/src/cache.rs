@@ -1,19 +1,26 @@
 //! Stamped-LRU bounded maps — the one cache type of this crate. The join
 //! graph's histogram and partial-sum caches and the MCMC engine's per-walk
-//! pair-selection handles are [`StampedLru`]s (single owner); the
-//! selection, projection/price and per-search evaluation-memo caches are
-//! [`ShardedLru`]s (shared across threads). Every read bumps a monotone
-//! use-stamp, inserts trim the map back to its cap by evicting the smallest
-//! stamp first, and a miss simply means the caller recomputes. Stamps are
-//! unique, so eviction order is deterministic for a deterministic access
-//! sequence.
+//! pair-selection handles are [`StampedLru`]s (single owner); the join
+//! graph's selection, projection/price and evaluation-memo caches are
+//! [`ShardedLru`]s (shared by every search, chain and request on the graph).
+//! Every read bumps a monotone use-stamp, inserts trim the map back to its
+//! cap by evicting the smallest stamp first, and a miss simply means the
+//! caller recomputes. Stamps are unique, so eviction order is deterministic
+//! for a deterministic access sequence.
+//!
+//! Shard locks are **poison-tolerant**. Every cached value is a pure,
+//! recomputable function of its key, and update closures only fill in
+//! lazily computed fields, so a panic while a shard lock was held (e.g.
+//! inside a [`ShardedLru::update_or_insert`] closure) leaves every entry a
+//! valid cache state. The next caller takes the lock over instead of
+//! panicking for the rest of the graph's life.
 
 use dance_relation::hash::stable_hash64;
 use dance_relation::FxHashMap;
 use std::borrow::Borrow;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A capacity-bounded map with monotone use-stamps and evict-least-stamped
 /// overflow. A cap of 0 disables the cache (every insert is immediately
@@ -183,31 +190,25 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
         }
     }
 
-    /// The shard responsible for `k`. `Borrow` guarantees a borrowed key
-    /// hashes like its owned form, so lookups land on the insert's shard.
-    fn shard_for<Q>(&self, k: &Q) -> &Mutex<StampedLru<K, V>>
+    /// The locked shard responsible for `k`. `Borrow` guarantees a borrowed
+    /// key hashes like its owned form, so lookups land on the insert's shard.
+    fn shard_for<Q>(&self, k: &Q) -> MutexGuard<'_, StampedLru<K, V>>
     where
         Q: Hash + ?Sized,
     {
         let h = stable_hash64(SHARD_HASH_SEED, k) as usize;
-        &self.shards[h % self.shards.len()]
+        lock(&self.shards[h % self.shards.len()])
     }
 
     /// Total entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard lock").len())
-            .sum()
+        self.shards.iter().map(|s| lock(s).len()).sum()
     }
 
     /// The configured total entry bound (the per-shard caps sum to exactly
     /// the `cap` the cache was constructed with).
     pub fn cap(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard lock").cap())
-            .sum()
+        self.shards.iter().map(|s| lock(s).cap()).sum()
     }
 
     /// Lifetime totals of `(hits, misses)` observed by [`Self::get`]
@@ -227,12 +228,7 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let v = self
-            .shard_for(k)
-            .lock()
-            .expect("cache shard lock")
-            .get(k)
-            .cloned();
+        let v = self.shard_for(k).get(k).cloned();
         match v {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -243,10 +239,7 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
     /// Insert (replacing any previous value), evicting the shard's
     /// least-recently-stamped entries past its cap.
     pub fn insert(&self, k: K, v: V) {
-        self.shard_for(&k)
-            .lock()
-            .expect("cache shard lock")
-            .insert(k, v);
+        self.shard_for(&k).insert(k, v);
     }
 
     /// Update `k`'s entry in place under the shard lock if present (bumping
@@ -254,7 +247,7 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
     /// lazily-filled fields need, without a racing get/insert window growing
     /// the shard past its cap.
     pub fn update_or_insert(&self, k: K, update: impl FnOnce(&mut V), make: impl FnOnce() -> V) {
-        let mut shard = self.shard_for(&k).lock().expect("cache shard lock");
+        let mut shard = self.shard_for(&k);
         match shard.get_mut(&k) {
             Some(v) => update(v),
             None => shard.insert(k, make()),
@@ -264,7 +257,7 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
     /// Keep only the entries whose key satisfies `f`, in every shard.
     pub fn retain(&self, f: impl Fn(&K) -> bool) {
         for shard in &self.shards {
-            shard.lock().expect("cache shard lock").retain(|k| f(k));
+            lock(shard).retain(|k| f(k));
         }
     }
 
@@ -276,15 +269,17 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
     pub fn take_matching(&self, f: impl Fn(&K) -> bool) -> Vec<(K, V)> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            out.extend(
-                shard
-                    .lock()
-                    .expect("cache shard lock")
-                    .take_matching(|k| f(k)),
-            );
+            out.extend(lock(shard).take_matching(|k| f(k)));
         }
         out
     }
+}
+
+/// Take a shard lock, recovering it if an earlier holder panicked (see the
+/// module docs: every entry is recomputable, so a poisoned shard is still a
+/// valid cache).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -429,6 +424,29 @@ mod tests {
         c.update_or_insert(1, |e| e.1 = Some(20), || unreachable!());
         assert_eq!(c.get(&1), Some((Some(10), Some(20))));
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn panicking_closure_leaves_the_cache_usable() {
+        let c: ShardedLru<u32, u32> = ShardedLru::new(8);
+        c.insert(1, 10);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.update_or_insert(1, |_| panic!("update closure panics"), || 0);
+        }));
+        assert!(panicked.is_err());
+        assert!(
+            c.shards.iter().any(|s| s.is_poisoned()),
+            "a shard was poisoned"
+        );
+        // Every entry point still works on the poisoned shard.
+        assert_eq!(c.get(&1), Some(10));
+        c.update_or_insert(1, |v| *v = 11, || unreachable!());
+        c.insert(2, 20);
+        assert_eq!(c.get(&1), Some(11));
+        assert_eq!((c.len(), c.cap()), (2, 8));
+        assert_eq!(c.take_matching(|&k| k == 2), vec![(2, 20)]);
+        c.retain(|_| false);
+        assert_eq!(c.len(), 0);
     }
 
     #[test]

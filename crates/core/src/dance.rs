@@ -20,10 +20,10 @@
 //!
 //! The MCMC search additionally rides the graph's bounded evaluation caches
 //! (see `crate::mcmc`'s module docs): per-hop pair selections, projected
-//! sample tables and price estimates persist inside the [`JoinGraph`] across
-//! proposals *and* across `search` calls, and [`Dance::refine`] invalidates
-//! exactly the refreshed instances' entries via
-//! [`JoinGraph::refresh_sample`]. Caching never changes a search result —
+//! sample tables, price estimates and whole evaluated states persist inside
+//! the [`JoinGraph`] across proposals *and* across `search` calls, and
+//! [`Dance::refine`] invalidates exactly the refreshed instances' entries
+//! via [`JoinGraph::refresh_sample`]. Caching never changes a search result —
 //! every state the walk visits is bit-identical to its uncached
 //! [`evaluate_assignment`], the reference the tests pin the engine against.
 

@@ -111,11 +111,13 @@ impl JoinGraph {
         }
 
         // Swap in the patched sample and bump the generation. Projection /
-        // price entries for `i` are stale and unreachable under the new
-        // generation; dropping them eagerly is a memory courtesy only.
+        // price entries and memoized evaluations touching `i` are stale and
+        // unreachable under the new generation; dropping them eagerly is a
+        // memory courtesy only.
         self.samples[ii] = after;
         self.gens[ii] = gen_new;
         self.proj_cache.retain(|&(v, _, _)| v != i);
+        self.eval_memo.retain(|(scope, _)| !scope.touches(i));
 
         // Maintain the per-pair-category partial sums: fold the change list
         // where one exists (the instance-side histogram was patched), else

@@ -42,6 +42,7 @@
 //! `build`/`refresh_sample`.
 
 use crate::cache::{ShardedLru, StampedLru};
+use crate::mcmc::{EvalKey, TargetGraph};
 use dance_info::ji::{ji_from_sym_counts, PairPartials};
 use dance_market::{DatasetMeta, EntropyPricing, PricingModel};
 use dance_relation::sel::pair_sel_with;
@@ -63,6 +64,10 @@ pub const DEFAULT_PROJ_CACHE_CAP: usize = 256;
 /// Default bound on materialized per-pair-category partial-sum tables
 /// (`apply_delta`'s incident-edge JI maintenance state).
 pub const DEFAULT_PARTIALS_CACHE_CAP: usize = 256;
+
+/// Default bound on the graph-wide MCMC evaluation memo
+/// ([`JoinGraph::eval_memo_len`]).
+pub const DEFAULT_EVAL_MEMO_CAP: usize = 512;
 
 /// Construction knobs for [`JoinGraph::build`].
 #[derive(Debug, Clone, Copy)]
@@ -91,6 +96,11 @@ pub struct JoinGraphConfig {
     /// updates (stamped-LRU; 0 disables). An evicted pair transparently falls
     /// back to the patched-histogram fold — same bits, more work per delta.
     pub partials_cache_cap: usize,
+    /// Upper bound on the evaluation memo every MCMC search on the graph
+    /// shares: fully evaluated target graphs per (search scope, assignment)
+    /// (stamped-LRU; 0 disables memoization — the selection and projection
+    /// caches still apply).
+    pub eval_memo_cap: usize,
 }
 
 impl Default for JoinGraphConfig {
@@ -102,6 +112,7 @@ impl Default for JoinGraphConfig {
             sel_cache_cap: DEFAULT_SEL_CACHE_CAP,
             proj_cache_cap: DEFAULT_PROJ_CACHE_CAP,
             partials_cache_cap: DEFAULT_PARTIALS_CACHE_CAP,
+            eval_memo_cap: DEFAULT_EVAL_MEMO_CAP,
         }
     }
 }
@@ -165,9 +176,10 @@ pub struct JoinGraph {
     pub(crate) hists: StampedLru<(u32, AttrSet), Arc<SymCounts>>,
     /// Per-instance sample **generation**: bumped every time instance `i`'s
     /// sample changes ([`Self::refresh_sample`] and `apply_delta` alike).
-    /// Every evaluation-cache key embeds the generations of the instances it
-    /// reads, so an entry built against a replaced sample can never be
-    /// served again — staleness is structural, not swept.
+    /// Every evaluation-cache key (selection, projection/price, memo) embeds
+    /// the generations of the instances it reads, so an entry built against
+    /// a replaced sample can never be served again — staleness is
+    /// structural, not swept.
     pub(crate) gens: Vec<u64>,
     /// Materialized per-pair-category partial sums for incident-edge JI
     /// re-weighing: `(a, b, J) → PairPartials` (directly-comparable pairs
@@ -193,6 +205,14 @@ pub struct JoinGraph {
     /// filled lazily by whichever evaluation path first needs it. Same
     /// sharding, bounding and staleness rules as `sel_cache`.
     pub(crate) proj_cache: ShardedLru<(u32, u64, AttrSet), ProjEntry>,
+    /// The MCMC evaluation memo, shared by every search, chain and request
+    /// on the graph: `(search scope, assignment) → TargetGraph` (see
+    /// [`crate::mcmc`] for what the key holds). The scope embeds each
+    /// participating vertex's generation, so an entry built against a
+    /// replaced sample is unreachable; [`Self::refresh_sample`] and
+    /// `apply_delta` also sweep the entries touching the changed instance,
+    /// to free their memory. Same sharding and bounding as `sel_cache`.
+    pub(crate) eval_memo: ShardedLru<EvalKey, Arc<TargetGraph>>,
 }
 
 /// Selection-cache key: `(probe instance, probe generation, build instance,
@@ -265,6 +285,7 @@ impl JoinGraph {
             partials: StampedLru::new(cfg.partials_cache_cap),
             sel_cache: ShardedLru::new(cfg.sel_cache_cap),
             proj_cache: ShardedLru::new(cfg.proj_cache_cap),
+            eval_memo: ShardedLru::new(cfg.eval_memo_cap),
         };
         let all: Vec<u32> = (0..graph.i_edges.len() as u32).collect();
         graph.reweigh(&all)?;
@@ -425,6 +446,7 @@ impl JoinGraph {
         self.partials.retain(|&(a, b, _)| a != i && b != i);
         self.sel_cache.retain(|&(a, _, b, _, _)| a != i && b != i);
         self.proj_cache.retain(|&(v, _, _)| v != i);
+        self.eval_memo.retain(|(scope, _)| !scope.touches(i));
         let incident = self.adj[i as usize].clone();
         self.reweigh(&incident)
     }
@@ -616,15 +638,30 @@ impl JoinGraph {
         self.proj_cache.stats()
     }
 
-    /// Drop every cached selection, projection and price (every shard of
-    /// both caches) — the cold-path baseline for benches and the
-    /// fresh-vs-cached pinning tests. Production code never needs this:
-    /// stale entries are unreachable by construction (cache keys embed the
-    /// sample generations they were built against), so correctness never
-    /// depends on clearing anything.
+    /// Entries currently held by the graph-wide MCMC evaluation memo
+    /// (tests/benches), aggregated across shards; never exceeds
+    /// [`JoinGraphConfig::eval_memo_cap`].
+    pub fn eval_memo_len(&self) -> usize {
+        self.eval_memo.len()
+    }
+
+    /// Lifetime `(hits, misses)` of the evaluation memo, summed over shards
+    /// (relaxed counters; observability only). A miss is one full state
+    /// evaluation: sample join, CORR and quality.
+    pub fn eval_memo_stats(&self) -> (u64, u64) {
+        self.eval_memo.stats()
+    }
+
+    /// Drop every cached selection, projection, price and memoized
+    /// evaluation (every shard of the three caches) — the cold-path baseline
+    /// for benches and the fresh-vs-cached pinning tests. Production code
+    /// never needs this: stale entries are unreachable by construction
+    /// (cache keys embed the sample generations they were built against), so
+    /// correctness never depends on clearing anything.
     pub fn clear_eval_caches(&self) {
         self.sel_cache.retain(|_| false);
         self.proj_cache.retain(|_| false);
+        self.eval_memo.retain(|_| false);
     }
 
     /// The executor the graph was built on — evaluation call sites
@@ -667,6 +704,9 @@ fn candidate_sets(common: &AttrSet, max_enum: usize) -> Vec<AttrSet> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mcmc::{find_optimal_target_graph, McmcConfig};
+    use crate::request::Constraints;
+    use crate::target::Cover;
     use dance_market::DatasetId;
     use dance_relation::{Table, TableDelta, Value, ValueType};
 
@@ -921,26 +961,109 @@ mod tests {
         assert_weights_match_rebuild(&g, "refreshed weights");
     }
 
-    /// The LRU bound holds after build and across refresh and delta rounds —
+    /// Searches over `toy_graph`'s instances, warm on `g`'s caches: the
+    /// (0, 1) edge with its three candidate join sets, and one
+    /// single-instance search on each side.
+    fn toy_searches(g: &JoinGraph) -> Vec<Option<TargetGraph>> {
+        let specs = [
+            (&[(0u32, 1u32)][..], (0u32, "jg_x"), (1u32, "jg_y")),
+            (&[][..], (0, "jg_x"), (0, "jg_b")),
+            (&[][..], (1, "jg_y"), (1, "jg_c")),
+        ];
+        specs
+            .iter()
+            .map(|&(edges, (sv, sa), (tv, ta))| {
+                let (source, target) = (AttrSet::from_names([sa]), AttrSet::from_names([ta]));
+                let sc: Cover = [(sv, source.clone())].into_iter().collect();
+                let tc: Cover = [(tv, target.clone())].into_iter().collect();
+                find_optimal_target_graph(
+                    g,
+                    &Default::default(),
+                    edges,
+                    &sc,
+                    &tc,
+                    &source,
+                    &target,
+                    &Constraints::unbounded(),
+                    &McmcConfig {
+                        iterations: 12,
+                        seed: 3,
+                        resample: None,
+                        ..McmcConfig::default()
+                    },
+                )
+                .unwrap()
+            })
+            .collect()
+    }
+
+    /// `true` iff some memoized evaluation of `g` reads instance `v`.
+    fn memo_touches(g: &JoinGraph, v: u32) -> bool {
+        let found = std::cell::Cell::new(false);
+        g.eval_memo.retain(|(scope, _)| {
+            found.set(found.get() || scope.touches(v));
+            true
+        });
+        found.get()
+    }
+
+    /// After an update of `updated`: no memoized evaluation reading it
+    /// survived, the memo holds its cap, and the warm searches equal the
+    /// same searches on a graph rebuilt from the current samples.
+    fn assert_memo_coherent(g: &JoinGraph, updated: u32, cap: usize, what: &str) {
+        assert!(
+            !memo_touches(g, updated),
+            "{what}: stale memo entry survived"
+        );
+        let rebuilt = JoinGraph::build(
+            g.metas.clone(),
+            g.samples.clone(),
+            EntropyPricing::default(),
+            &JoinGraphConfig::default(),
+        )
+        .unwrap();
+        for (warm, cold) in toy_searches(g).iter().zip(toy_searches(&rebuilt)) {
+            let (warm, cold) = (warm.as_ref().unwrap(), cold.unwrap());
+            assert_eq!(warm.join_attrs, cold.join_attrs, "{what}");
+            assert_eq!(warm.projections, cold.projections, "{what}");
+            for (x, y) in [
+                (warm.corr, cold.corr),
+                (warm.weight, cold.weight),
+                (warm.quality, cold.quality),
+                (warm.price, cold.price),
+            ] {
+                assert_eq!(x.to_bits(), y.to_bits(), "{what}");
+            }
+        }
+        assert!(g.eval_memo_len() <= cap, "{what}: memo cap {cap} violated");
+    }
+
+    /// The LRU bounds hold after build and across refresh and delta rounds —
     /// all three share one re-weigh round — and evicted histograms are
     /// transparently recounted: weights always equal a from-scratch build
-    /// over the same samples.
+    /// over the same samples. The graph-wide evaluation memo stays coherent
+    /// through the same waves: each update sweeps every memoized evaluation
+    /// touching the updated instance, the other instance's entries survive
+    /// (and are served) when the cap leaves room, and the warm searches
+    /// equal searches on a rebuilt graph.
     #[test]
     fn hist_cache_cap_holds_across_refresh_rounds() {
         let base = toy_graph();
-        for cap in [0usize, 1, 2, 4] {
+        for cap in [0usize, 1, 2, 4, DEFAULT_EVAL_MEMO_CAP] {
             let mut g = JoinGraph::build(
                 base.metas.clone(),
                 base.samples.clone(),
                 EntropyPricing::default(),
                 &JoinGraphConfig {
                     hist_cache_cap: cap,
+                    eval_memo_cap: cap,
                     ..JoinGraphConfig::default()
                 },
             )
             .unwrap();
             assert!(g.hist_cache_len() <= cap, "cap {cap} violated after build");
             for round in 0..3i64 {
+                toy_searches(&g);
                 let fresh = Table::from_rows(
                     "D2",
                     &[
@@ -965,6 +1088,10 @@ mod tests {
                     "cap {cap} violated after refresh {round}"
                 );
                 assert_weights_match_rebuild(&g, &format!("refresh at cap {cap} round {round}"));
+                if cap == DEFAULT_EVAL_MEMO_CAP {
+                    assert!(memo_touches(&g, 0), "instance-0 entries survive");
+                }
+                assert_memo_coherent(&g, 1, cap, &format!("refresh at cap {cap} round {round}"));
 
                 let delta = TableDelta::new(
                     vec![
@@ -979,6 +1106,10 @@ mod tests {
                     "cap {cap} violated after delta {round}"
                 );
                 assert_weights_match_rebuild(&g, &format!("delta at cap {cap} round {round}"));
+                if cap == DEFAULT_EVAL_MEMO_CAP {
+                    assert!(memo_touches(&g, 1), "instance-1 entries survive");
+                }
+                assert_memo_coherent(&g, 0, cap, &format!("delta at cap {cap} round {round}"));
             }
         }
     }

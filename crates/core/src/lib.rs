@@ -41,8 +41,8 @@ pub mod target;
 pub use dance::{Dance, DanceConfig};
 pub use igraph::IGraph;
 pub use join_graph::{
-    JoinGraph, JoinGraphConfig, DEFAULT_HIST_CACHE_CAP, DEFAULT_PARTIALS_CACHE_CAP,
-    DEFAULT_PROJ_CACHE_CAP, DEFAULT_SEL_CACHE_CAP,
+    JoinGraph, JoinGraphConfig, DEFAULT_EVAL_MEMO_CAP, DEFAULT_HIST_CACHE_CAP,
+    DEFAULT_PARTIALS_CACHE_CAP, DEFAULT_PROJ_CACHE_CAP, DEFAULT_SEL_CACHE_CAP,
 };
 pub use mcmc::{McmcConfig, TargetGraph};
 pub use multichain::{chain_seed, chain_temperature};

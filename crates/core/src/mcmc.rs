@@ -34,22 +34,30 @@
 //!   the flipped edge's endpoints recompute, and the final price/weight
 //!   folds re-run over the cached components in canonical order, so every
 //!   float is bit-equal to a fresh full re-sum.
-//! * **Evaluation memo** — full [`TargetGraph`]s memoized per assignment in
-//!   one sharded stamped-LRU per search ([`McmcConfig::eval_memo_cap`]),
-//!   shared by all of its chains, so a revisited state costs one hash
-//!   lookup.
+//! * **Evaluation memo** — full [`TargetGraph`]s memoized in one sharded
+//!   stamped-LRU on the graph ([`JoinGraph::eval_memo_len`], bounded by
+//!   [`crate::JoinGraphConfig::eval_memo_cap`]), shared by every search,
+//!   chain and request, so a revisited state costs one hash lookup — also
+//!   when a shopper repeats a query or sweeps its budget. The key
+//!   (`EvalKey`) holds everything an evaluation reads: each participating
+//!   vertex with its sample generation and its membership in `free`, the
+//!   tree edges in order, the candidate index per edge, both covers, the
+//!   source/target attributes, and the §3.2 re-sampling and AFD settings.
+//!   Constraints, seed, temperature, chain count and iterations stay out of
+//!   it: they only steer the walk, never what a state evaluates to.
 //!
 //! §3.2 re-sampling keeps firing on the *composed* selection via
 //! [`dance_sampling::resample::BoundedHook`] with unchanged step/seed
 //! derivation, so seeded experiment reports stay byte-identical.
 
-use crate::cache::{ShardedLru, StampedLru};
+use crate::cache::StampedLru;
 use crate::join_graph::JoinGraph;
 use crate::request::Constraints;
 use crate::target::Cover;
 use dance_info::correlation::{correlation_with, CorrOptions};
 use dance_info::ji::join_informativeness;
 use dance_quality::tane::TaneConfig;
+use dance_relation::hash::stable_hash64;
 use dance_relation::join::JoinEdge;
 use dance_relation::sel::TreeJoin;
 use dance_relation::{AttrSet, FxHashMap, FxHashSet, RelationError, Result, Table};
@@ -57,10 +65,8 @@ use dance_sampling::resample::{join_tree_bounded_with, BoundedHook, ResampleConf
 use rand::rngs::StdRng;
 use rand::RngExt;
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-
-/// Default bound on the per-walk evaluation memo.
-pub const DEFAULT_EVAL_MEMO_CAP: usize = 512;
 
 /// Tuning for Algorithm 1.
 #[derive(Debug, Clone)]
@@ -73,10 +79,6 @@ pub struct McmcConfig {
     pub resample: Option<ResampleConfig>,
     /// AFD discovery settings for the quality estimate (Def 2.3).
     pub tane: TaneConfig,
-    /// Stamped-LRU bound on the per-search `assignment → TargetGraph` memo
-    /// shared by all chains (0 disables memoization; hop/projection caches
-    /// still apply).
-    pub eval_memo_cap: usize,
     /// Number of independent MCMC chains ([`crate::multichain`]). `1` (the
     /// default) is the plain single-chain walk; `N > 1` runs N independently
     /// seeded chains — seeds derived per chain index from [`Self::seed`] —
@@ -104,7 +106,6 @@ impl Default for McmcConfig {
                 max_lhs: 1,
                 max_attrs: 12,
             },
-            eval_memo_cap: DEFAULT_EVAL_MEMO_CAP,
             chains: 1,
             temperature_step: 0.0,
         }
@@ -336,15 +337,67 @@ fn eval_corr(
     Ok(raw * n / (n + 20.0))
 }
 
+/// Seed of [`EvalScope`]'s fingerprint (any fixed value works; it only
+/// spreads keys over hash buckets and memo shards).
+const EVAL_SCOPE_SEED: u64 = 0xE7A1_5C0B_E0F1_2345;
+
+/// The part of an [`EvalKey`] one search fixes: everything
+/// [`EvalEngine`] reads besides the per-edge candidate indices. Two scopes
+/// compare equal field by field, so a memo hit is exact; only hashing goes
+/// through the precomputed `fingerprint`, so a lookup hashes one word plus
+/// the assignment instead of the covers and attribute sets.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct EvalScope {
+    /// Stable hash of the fields below (compared first: a cheap reject).
+    fingerprint: u64,
+    /// Participating vertices, ascending: `(vertex, sample generation,
+    /// member of free)`.
+    vertices: Box<[(u32, u64, bool)]>,
+    /// Tree edges in the given order: the order of the weight fold and of
+    /// the tree join. Candidate indices refer to these edges' candidate
+    /// lists, which are fixed for the graph's lifetime.
+    tree_edges: Box<[(u32, u32)]>,
+    source_cover: Cover,
+    target_cover: Cover,
+    source_attrs: AttrSet,
+    target_attrs: AttrSet,
+    /// §3.2 re-sampling as `(η, rate bits, seed)`, `None` when off.
+    resample: Option<(usize, u64, u64)>,
+    /// AFD settings as `(θ bits, max_lhs, max_attrs)`.
+    tane: (u64, usize, usize),
+}
+
+impl Hash for EvalScope {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.fingerprint);
+    }
+}
+
+impl EvalScope {
+    /// `true` iff instance `i` participates — the entries refresh and delta
+    /// upkeep sweep for `i`.
+    pub(crate) fn touches(&self, i: u32) -> bool {
+        self.vertices
+            .binary_search_by_key(&i, |&(v, _, _)| v)
+            .is_ok()
+    }
+}
+
+/// Graph-wide evaluation-memo key: the search's [`EvalScope`] plus the
+/// candidate index per tree edge.
+pub(crate) type EvalKey = (Arc<EvalScope>, Box<[u32]>);
+
 /// The incremental evaluation engine behind [`find_optimal_target_graph`].
 ///
 /// Everything invariant across the walk is computed once at construction:
-/// the participating vertex order (and its position map), and the candidate
-/// list per edge. Per evaluation, hop selections come from the graph's
-/// [`PairSel`] cache, projected tables and prices from its projection cache,
-/// and whole [`TargetGraph`]s from the search's memo keyed by the assignment
-/// (as candidate indices) — so a revisited state costs one hash lookup and a
-/// fresh state re-probes only hops no cached selection covers.
+/// the participating vertex order (and its position map), the candidate
+/// list per edge, and the memo scope. Per evaluation, whole
+/// [`TargetGraph`]s come from the graph's evaluation memo keyed by scope and
+/// assignment (as candidate indices), hop selections from its
+/// [`PairSel`](dance_relation::PairSel) cache, projected tables and prices
+/// from its projection cache — so a state any search on the graph already
+/// evaluated costs one hash lookup, and a fresh state re-probes only hops no
+/// cached selection covers.
 ///
 /// Weight and price are folded from cached per-component values (a
 /// Property 4.1 lookup per edge, a cached price per vertex): a proposal only
@@ -355,13 +408,8 @@ fn eval_corr(
 pub(crate) struct EvalEngine<'a> {
     graph: &'a JoinGraph,
     free: &'a FxHashSet<u32>,
-    tree_edges: &'a [(u32, u32)],
     /// Candidate join sets per edge, fetched once before the walk.
     cands: Vec<&'a [AttrSet]>,
-    source_cover: &'a Cover,
-    target_cover: &'a Cover,
-    source_attrs: &'a AttrSet,
-    target_attrs: &'a AttrSet,
     resample: Option<&'a ResampleConfig>,
     tane: &'a TaneConfig,
     /// Participating vertices, ascending (= the reference's projection
@@ -369,14 +417,13 @@ pub(crate) struct EvalEngine<'a> {
     vertices: Vec<u32>,
     /// vertex id → position in `vertices` (the prebuilt index map).
     pos: FxHashMap<u32, usize>,
-    /// Assignment (candidate indices) → fully evaluated target graph: the
-    /// one memo of the search, shared read-mostly by all of its chains. Safe
-    /// to share because a [`TargetGraph`] is a pure function of the
-    /// assignment (the candidate index space is common to all chains, and
-    /// §3.2 re-sampling seeds derive from the composed selection, not the
-    /// walk RNG) — a hit from another chain is bit-identical to a local
-    /// recomputation.
-    memo: &'a ShardedLru<Box<[u32]>, TargetGraph>,
+    /// This search's half of every memo key, and the engine's copy of its
+    /// tree edges, covers and request attributes. Safe to share across
+    /// chains, searches and requests because a [`TargetGraph`] is a pure
+    /// function of the full key (§3.2 re-sampling seeds derive from the
+    /// composed selection, not the walk RNG) — a hit is bit-identical to a
+    /// local recomputation.
+    scope: Arc<EvalScope>,
     /// `(edge, candidate index, probe base)` → the graph's cached pair
     /// selection, held locally so repeat hops skip the graph lock *and* the
     /// attr-set key clone. Entries are `Arc` handles into
@@ -399,7 +446,6 @@ impl<'a> EvalEngine<'a> {
         source_attrs: &'a AttrSet,
         target_attrs: &'a AttrSet,
         cfg: &'a McmcConfig,
-        memo: &'a ShardedLru<Box<[u32]>, TargetGraph>,
     ) -> Result<EvalEngine<'a>> {
         let mut vs: FxHashSet<u32> = FxHashSet::default();
         for &(a, b) in tree_edges {
@@ -416,20 +462,49 @@ impl<'a> EvalEngine<'a> {
         vertices.sort_unstable();
         let pos: FxHashMap<u32, usize> =
             vertices.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+        let mut scope = EvalScope {
+            fingerprint: 0,
+            vertices: vertices
+                .iter()
+                .map(|&v| (v, graph.sample_gen(v), free.contains(&v)))
+                .collect(),
+            tree_edges: tree_edges.into(),
+            source_cover: source_cover.clone(),
+            target_cover: target_cover.clone(),
+            source_attrs: source_attrs.clone(),
+            target_attrs: target_attrs.clone(),
+            resample: cfg
+                .resample
+                .as_ref()
+                .map(|r| (r.eta, r.rate.to_bits(), r.seed)),
+            tane: (
+                cfg.tane.error_threshold.to_bits(),
+                cfg.tane.max_lhs,
+                cfg.tane.max_attrs,
+            ),
+        };
+        scope.fingerprint = stable_hash64(
+            EVAL_SCOPE_SEED,
+            &(
+                &scope.vertices,
+                &scope.tree_edges,
+                &scope.source_cover,
+                &scope.target_cover,
+                &scope.source_attrs,
+                &scope.target_attrs,
+                scope.resample,
+                scope.tane,
+            ),
+        );
         Ok(EvalEngine {
             graph,
             free,
-            tree_edges,
             cands,
-            source_cover,
-            target_cover,
-            source_attrs,
-            target_attrs,
             resample: cfg.resample.as_ref(),
             tane: &cfg.tane,
             vertices,
             pos,
-            memo,
+            scope: Arc::new(scope),
             pair_handles: StampedLru::new(graph.sel_cache_cap()),
         })
     }
@@ -437,10 +512,12 @@ impl<'a> EvalEngine<'a> {
     /// Evaluate one assignment (candidate index per edge) into a
     /// [`TargetGraph`], bit-identical to [`evaluate_assignment`] over the
     /// resolved attribute sets.
-    fn evaluate(&mut self, idxs: &[u32]) -> Result<TargetGraph> {
-        if let Some(tg) = self.memo.get(idxs) {
+    fn evaluate(&mut self, idxs: &[u32]) -> Result<Arc<TargetGraph>> {
+        let key: EvalKey = (Arc::clone(&self.scope), Box::from(idxs));
+        if let Some(tg) = self.graph.eval_memo.get(&key) {
             return Ok(tg);
         }
+        let scope = &*key.0;
         let join_attrs: Vec<&AttrSet> = idxs
             .iter()
             .zip(&self.cands)
@@ -452,12 +529,12 @@ impl<'a> EvalEngine<'a> {
         // folds re-run in canonical order, so every sum is bit-equal).
         let projections = projection_sets(
             self.vertices.iter().copied(),
-            self.tree_edges,
+            &scope.tree_edges,
             &join_attrs,
-            self.source_cover,
-            self.target_cover,
+            &scope.source_cover,
+            &scope.target_cover,
         )?;
-        let weight = weight_fold(self.graph, self.tree_edges, &join_attrs, None)?;
+        let weight = weight_fold(self.graph, &scope.tree_edges, &join_attrs, None)?;
         let price = price_fold(self.graph, self.free, &projections, None)?;
 
         // Join the projected instances along the tree, sourcing every hop
@@ -469,10 +546,10 @@ impl<'a> EvalEngine<'a> {
             .map(|&v| self.graph.projected_for_eval(v, &projections[&v], None))
             .collect::<Result<Vec<_>>>()?;
         let refs: Vec<&Table> = projected.iter().map(Arc::as_ref).collect();
-        let joined_owned: Option<Table> = if self.tree_edges.is_empty() {
+        let joined_owned: Option<Table> = if scope.tree_edges.is_empty() {
             None
         } else {
-            let edges: Vec<JoinEdge> = self
+            let edges: Vec<JoinEdge> = scope
                 .tree_edges
                 .iter()
                 .zip(&join_attrs)
@@ -511,19 +588,19 @@ impl<'a> EvalEngine<'a> {
         };
         let joined: &Table = joined_owned.as_ref().unwrap_or_else(|| &projected[0]);
 
-        let corr = eval_corr(joined, self.source_attrs, self.target_attrs, false)?;
+        let corr = eval_corr(joined, &scope.source_attrs, &scope.target_attrs, false)?;
         let quality = dance_quality::joint::instance_set_quality(joined, self.tane)?;
 
-        let tg = TargetGraph {
-            tree_edges: self.tree_edges.to_vec(),
+        let tg = Arc::new(TargetGraph {
+            tree_edges: scope.tree_edges.to_vec(),
             join_attrs: join_attrs.into_iter().cloned().collect(),
             projections,
             corr,
             weight,
             quality,
             price,
-        };
-        self.memo.insert(Box::from(idxs), tg.clone());
+        });
+        self.graph.eval_memo.insert(key, Arc::clone(&tg));
         Ok(tg)
     }
 }
@@ -597,7 +674,7 @@ pub fn find_optimal_target_graph(
 }
 
 /// One seeded chain of Algorithm 1's walk over a prepared candidate space:
-/// builds the [`EvalEngine`] over the search's memo and runs [`walk_chain`]
+/// builds the [`EvalEngine`] over the graph's caches and runs [`walk_chain`]
 /// with it. [`crate::multichain`] calls this once per chain, with the
 /// chain's derived RNG and its ladder temperature.
 #[allow(clippy::too_many_arguments)] // mirrors find_optimal_target_graph's surface
@@ -615,7 +692,6 @@ pub(crate) fn run_single_chain(
     cfg: &McmcConfig,
     temperature: f64,
     rng: &mut StdRng,
-    memo: &ShardedLru<Box<[u32]>, TargetGraph>,
 ) -> Result<Option<TargetGraph>> {
     let mut engine = EvalEngine::new(
         graph,
@@ -627,7 +703,6 @@ pub(crate) fn run_single_chain(
         source_attrs,
         target_attrs,
         cfg,
-        memo,
     )?;
     walk_chain(
         &mut |idxs: &[u32]| engine.evaluate(idxs),
@@ -645,8 +720,10 @@ pub(crate) fn run_single_chain(
 /// the paper's `min(1, CORR'/CORR)` — bit-identical RNG consumption to the
 /// pre-multichain loop — while hotter chains flatten the ratio to
 /// `(CORR'/CORR)^(1/T)` so they cross low-correlation valleys more readily.
+/// States are shared `Arc` handles (memo hits clone no metrics); only the
+/// returned best is unwrapped.
 fn walk_chain(
-    evaluate: &mut impl FnMut(&[u32]) -> Result<TargetGraph>,
+    evaluate: &mut impl FnMut(&[u32]) -> Result<Arc<TargetGraph>>,
     cands: &[&[AttrSet]],
     initial: &[u32],
     constraints: &Constraints,
@@ -656,9 +733,9 @@ fn walk_chain(
 ) -> Result<Option<TargetGraph>> {
     let mut assignment = initial.to_vec();
     let mut current = evaluate(&assignment)?;
-    let mut best: Option<TargetGraph> = current.admits(constraints).then(|| current.clone());
+    let mut best: Option<Arc<TargetGraph>> = current.admits(constraints).then(|| current.clone());
     if cands.is_empty() {
-        return Ok(best);
+        return Ok(best.map(Arc::unwrap_or_clone));
     }
 
     for _ in 0..iterations {
@@ -704,7 +781,7 @@ fn walk_chain(
             }
         }
     }
-    Ok(best)
+    Ok(best.map(Arc::unwrap_or_clone))
 }
 
 #[cfg(test)]
@@ -974,9 +1051,10 @@ mod tests {
         /// Every state a seeded walk visits — accepted or not — evaluates
         /// bit-identically through the incremental engine and through the
         /// fresh `evaluate_assignment` reference, on randomized typed/NULL
-        /// catalogs: at memo caps {0, 1, 512}, cold and warm evaluation
-        /// caches, executors {1, 4}, with and without §3.2 re-sampling (a
-        /// tiny η forces `TreeSel::retain` on the composed selection).
+        /// catalogs: at graph-configured memo caps {0, 1, 512}, cold and
+        /// warm evaluation caches, executors {1, 4}, with and without §3.2
+        /// re-sampling (a tiny η forces `TreeSel::retain` on the composed
+        /// selection).
         #[test]
         fn engine_matches_reference_on_every_visited_state(
             catalog in search_catalog::arb_search_catalog(),
@@ -1003,32 +1081,31 @@ mod tests {
                 ..McmcConfig::default()
             };
             for threads in [1usize, 4] {
-                let graph = JoinGraph::build(
-                    metas.clone(),
-                    samples.clone(),
-                    EntropyPricing::default(),
-                    &JoinGraphConfig {
-                        executor: Executor::with_grain(threads, 1),
-                        ..JoinGraphConfig::default()
-                    },
-                )
-                .unwrap();
-                let cands: Vec<&[AttrSet]> = tree_edges
-                    .iter()
-                    .map(|&(a, b)| graph.candidate_join_sets(a, b))
-                    .collect();
                 for memo_cap in [0usize, 1, 512] {
-                    graph.clear_eval_caches();
+                    let graph = JoinGraph::build(
+                        metas.clone(),
+                        samples.clone(),
+                        EntropyPricing::default(),
+                        &JoinGraphConfig {
+                            executor: Executor::with_grain(threads, 1),
+                            eval_memo_cap: memo_cap,
+                            ..JoinGraphConfig::default()
+                        },
+                    )
+                    .unwrap();
+                    let cands: Vec<&[AttrSet]> = tree_edges
+                        .iter()
+                        .map(|&(a, b)| graph.candidate_join_sets(a, b))
+                        .collect();
                     // Cold evaluation caches first, then warm ones.
                     for _ in 0..2 {
-                        let memo = ShardedLru::new(memo_cap);
                         let mut engine = EvalEngine::new(
                             &graph, &free, &tree_edges, cands.clone(), &sc, &tc, &source,
-                            &target, &cfg, &memo,
+                            &target, &cfg,
                         )
                         .unwrap();
                         let mut visited = 0;
-                        let mut evaluate = |idxs: &[u32]| -> Result<TargetGraph> {
+                        let mut evaluate = |idxs: &[u32]| -> Result<Arc<TargetGraph>> {
                             let tg = engine.evaluate(idxs)?;
                             let attrs: Vec<AttrSet> = idxs
                                 .iter()
@@ -1056,10 +1133,24 @@ mod tests {
                         // Every edge has 3 candidates, so every iteration
                         // proposes (and checks) one state.
                         proptest::prop_assert_eq!(visited, cfg.iterations + 1);
+                        proptest::prop_assert!(graph.eval_memo_len() <= memo_cap);
                     }
+                    proptest::prop_assert!(graph.sel_cache_len() > 0, "selection cache populated");
+                    proptest::prop_assert!(graph.proj_cache_len() > 0, "projection cache populated");
+                    // The warm walk revisits only states the cold one
+                    // memoized: with room for all 9 states it never misses.
+                    let (hits, misses) = graph.eval_memo_stats();
+                    proptest::prop_assert_eq!(hits + misses, 2 * (cfg.iterations as u64 + 1));
+                    if memo_cap == 512 {
+                        proptest::prop_assert!(misses <= 9, "{} misses", misses);
+                    }
+                    // A clear brings back the cold path: the memo, too.
+                    graph.clear_eval_caches();
+                    proptest::prop_assert_eq!(
+                        graph.eval_memo_len() + graph.sel_cache_len() + graph.proj_cache_len(),
+                        0
+                    );
                 }
-                proptest::prop_assert!(graph.sel_cache_len() > 0, "selection cache populated");
-                proptest::prop_assert!(graph.proj_cache_len() > 0, "projection cache populated");
             }
         }
     }

@@ -5,16 +5,17 @@
 //! and keeps the best target graph any of them found. Chains differ only in
 //! their RNG stream (seeds derived deterministically from the base seed,
 //! [`chain_seed`]) and, optionally, their acceptance temperature
-//! ([`chain_temperature`]); they share one concurrent, generation-free
-//! evaluation memo so an assignment evaluated by any chain is a cache hit for
-//! every other.
+//! ([`chain_temperature`]); they share the graph's concurrent evaluation
+//! memo, so an assignment evaluated by any chain — or by any earlier search
+//! on the same samples — is a cache hit for every other.
 //!
 //! ## Determinism contract
 //!
 //! - Chain k's walk is a pure function of `(catalog, chain_seed(seed, k),
 //!   chain_temperature(step, k))` — the shared memo can change *when* work
 //!   happens, never *what* a chain computes, because a
-//!   [`TargetGraph`] is a pure function of the assignment.
+//!   [`TargetGraph`] is a pure function of the memo key (the search scope
+//!   and the assignment).
 //! - The reduction scans results in chain-index order and replaces the
 //!   incumbent only on a strictly larger `corr`, so ties resolve to the
 //!   lowest chain index. Together these make the result bit-identical for a
@@ -27,10 +28,9 @@
 //! `par_map_init`, which constructs each chain's RNG from scratch per item —
 //! no RNG state ever crosses a work-stealing boundary. This module must not
 //! take any mutex directly (CI grep-guards it); all cross-chain shared
-//! state goes through the [`ShardedLru`] facade, which owns its shard
-//! mutexes internally.
+//! state lives in the join graph's caches behind the `ShardedLru` facade
+//! (`crate::cache`), which owns its shard mutexes internally.
 
-use crate::cache::ShardedLru;
 use crate::join_graph::JoinGraph;
 use crate::mcmc::{run_single_chain, McmcConfig, TargetGraph};
 use crate::request::Constraints;
@@ -86,9 +86,6 @@ pub(crate) fn multichain_search(
     cfg: &McmcConfig,
 ) -> Result<Option<TargetGraph>> {
     let chains = cfg.chains.max(1);
-    // One memo for the whole search: every chain walks the same assignment
-    // space.
-    let memo: ShardedLru<Box<[u32]>, TargetGraph> = ShardedLru::new(cfg.eval_memo_cap);
     let chain_ids: Vec<usize> = (0..chains).collect();
 
     let results = graph.executor().par_map_init(
@@ -109,7 +106,6 @@ pub(crate) fn multichain_search(
                 cfg,
                 chain_temperature(cfg.temperature_step, k),
                 rng,
-                &memo,
             )
         },
     );

@@ -375,6 +375,98 @@ proptest! {
         }
     }
 
+    /// The graph-wide evaluation memo's key is complete. On one warm graph,
+    /// searches that revisit the same assignments but differ in what an
+    /// evaluation reads — `free`, the AFD θ, §3.2 re-sampling (off, on, on
+    /// with another seed), the order of the tree edges — or only in what
+    /// gates acceptance (budget, α, β) run in sequence, and each equals the
+    /// same search on a freshly built cold graph, bit for bit. Dropping any
+    /// of those fields from the key would serve a state evaluated under
+    /// another setting.
+    #[test]
+    fn eval_memo_key_is_complete(
+        catalog in arb_search_catalog(),
+        seed in 0u64..1000,
+    ) {
+        let (metas, samples) = catalog;
+        let build = || {
+            JoinGraph::build(
+                metas.clone(),
+                samples.clone(),
+                EntropyPricing::default(),
+                &JoinGraphConfig::default(),
+            )
+            .unwrap()
+        };
+        let mut sc = Cover::new();
+        sc.insert(0, AttrSet::from_names(["sc_src"]));
+        let mut tc = Cover::new();
+        tc.insert(2, AttrSet::from_names(["sc_tgt"]));
+        let source = AttrSet::from_names(["sc_src"]);
+        let target = AttrSet::from_names(["sc_tgt"]);
+        let forward = [(0u32, 1u32), (1, 2)];
+        let reversed = [(1u32, 2u32), (0, 1)];
+        let search = |g: &JoinGraph,
+                      free: &FxHashSet<u32>,
+                      edges: &[(u32, u32)],
+                      constraints: &Constraints,
+                      cfg: &McmcConfig| {
+            find_optimal_target_graph(g, free, edges, &sc, &tc, &source, &target, constraints, cfg)
+                .unwrap()
+        };
+        let base = McmcConfig {
+            iterations: 20,
+            seed,
+            resample: None,
+            ..McmcConfig::default()
+        };
+        let none = FxHashSet::default();
+        let unbounded = Constraints::unbounded();
+        let top = search(&build(), &none, &forward, &unbounded, &base)
+            .expect("the unconstrained initial state is admitted");
+        let gated = |alpha: f64, beta: f64, budget: f64| Constraints { alpha, beta, budget };
+        let with_tane = |theta: f64| McmcConfig {
+            tane: dance_quality::TaneConfig {
+                error_threshold: theta,
+                ..base.tane
+            },
+            ..base.clone()
+        };
+        let with_resample = |rs: u64| McmcConfig {
+            resample: Some(dance_sampling::resample::ResampleConfig {
+                eta: 16,
+                rate: 0.5,
+                seed: rs,
+            }),
+            ..base.clone()
+        };
+        let free_0: FxHashSet<u32> = [0].into_iter().collect();
+        let free_12: FxHashSet<u32> = [1, 2].into_iter().collect();
+        type Run<'a> = (&'a FxHashSet<u32>, &'a [(u32, u32)], Constraints, McmcConfig);
+        let runs: Vec<Run> = vec![
+            (&none, &forward, unbounded, base.clone()),
+            (&none, &forward, gated(f64::INFINITY, 0.0, top.price * 0.8), base.clone()),
+            (&none, &forward, gated(top.weight, top.quality * 0.5, top.price), base.clone()),
+            (&none, &forward, gated(top.weight * 0.9, top.quality, f64::INFINITY), base.clone()),
+            (&free_0, &forward, unbounded, base.clone()),
+            (&free_12, &forward, unbounded, base.clone()),
+            (&none, &forward, unbounded, with_tane(0.0)),
+            (&none, &forward, unbounded, with_tane(0.4)),
+            (&none, &forward, unbounded, with_resample(seed ^ 7)),
+            (&none, &forward, unbounded, with_resample(seed ^ 8)),
+            (&none, &reversed, unbounded, base.clone()),
+            (&none, &forward, unbounded, base.clone()),
+        ];
+        let warm = build();
+        for (free, edges, constraints, cfg) in &runs {
+            let got = search(&warm, free, edges, constraints, cfg);
+            let cold = search(&build(), free, edges, constraints, cfg);
+            assert_same_target(&got, &cold)?;
+        }
+        // Later searches were served from earlier ones' evaluations.
+        prop_assert!(warm.eval_memo_stats().0 > 0, "the memo was never hit");
+    }
+
     /// Lattice size formula matches enumeration; children add exactly one
     /// attribute and stay inside the universe.
     #[test]
