@@ -10,8 +10,8 @@
 //! * `seq_vs_par`: the scoped-thread executor at 1/2/4/8 workers on a larger
 //!   TPC-H instance (group-id encoding, entropy, JI and the full
 //!   `JoinGraph::build`);
-//! * `mcmc_search` / `mcmc_multichain`: the cached MCMC walk, one chain and
-//!   best-of-N;
+//! * `mcmc_search` / `mcmc_multichain`: the MCMC walk from cold caches (one
+//!   chain) and on the warm graph-wide memo (one chain and best-of-N);
 //! * `catalog_update`: delta-based catalog maintenance
 //!   (`JoinGraph::apply_delta`) against the full `refresh_sample` rebuild it
 //!   replaces;
@@ -388,11 +388,9 @@ fn tpch_search_setup(workers: usize, ts: &[Table]) -> SearchSetup {
 /// iteration), at 1 and 4 workers, on the two-key toy graph and a scale-100
 /// TPC-H pair. The `*_cold` arms clear every evaluation cache per iteration
 /// (selections, projections/prices and the evaluation memo): each walk pays
-/// its sample joins, CORR and quality. The `*_warm` arms keep the caches
-/// across iterations — the steady state of a repeated request — and since
-/// the evaluation memo is graph-wide, every state after the first iteration
-/// is a memo hit: they measure a fully memoized walk (proposal draws, key
-/// building and memo lookups), not evaluation work.
+/// its sample joins, CORR and quality. The warm steady state of a repeated
+/// request — a fully memoized walk — is the 1-chain arm of
+/// `mcmc_multichain`.
 fn bench_mcmc_search(c: &mut Criterion) {
     let mut g = c.benchmark_group("mcmc_search");
     let ts = par_tables();
@@ -409,11 +407,6 @@ fn bench_mcmc_search(c: &mut Criterion) {
                 })
             },
         );
-        g.bench_with_input(
-            BenchmarkId::new("two_key_warm", format!("{workers}w")),
-            &two_key,
-            |b, s| b.iter(|| s.run_seeded(17, 1, iters)),
-        );
 
         let tpch = tpch_search_setup(workers, &ts);
         let iters = 8;
@@ -427,11 +420,6 @@ fn bench_mcmc_search(c: &mut Criterion) {
                 })
             },
         );
-        g.bench_with_input(
-            BenchmarkId::new("tpch_li_ps_warm", format!("{workers}w")),
-            &tpch,
-            |b, s| b.iter(|| s.run_seeded(17, 1, iters)),
-        );
     }
     g.finish();
 }
@@ -444,7 +432,9 @@ fn bench_mcmc_search(c: &mut Criterion) {
 /// them: N-chain at 1 worker must stay within ~15% of seqref-N. The
 /// evaluation memo is graph-wide, so after the first iteration both the
 /// fan-out and the sequential reference walk fully memoized states: the
-/// comparison measures scheduling overhead, not shared evaluation work.
+/// comparison measures scheduling overhead, not shared evaluation work, and
+/// the 1-chain arms are the warm, fully memoized single walk (the
+/// counterpart of `mcmc_search`'s cold arms).
 fn bench_mcmc_multichain(c: &mut Criterion) {
     // Full multi-chain searches are seconds each on the TPC-H pair; a
     // smaller sample keeps the CI smoke bounded.

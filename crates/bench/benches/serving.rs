@@ -1,6 +1,6 @@
 //! Serving-layer benches: wire pipeline throughput (workers × pipelining
 //! depth), full wire sessions/sec over loopback, the resilience tax of the
-//! retrying v2 client under ~1% injected connection resets, and the
+//! retrying client under ~1% injected connection resets, and the
 //! per-quote saving of `Session::quote_batch` over per-item `quote` calls.
 //!
 //! ```sh
@@ -223,8 +223,8 @@ fn bench_wire_sessions(c: &mut Criterion) {
     g.finish();
 }
 
-/// The resilience tax: full wire sessions driven by v2 clients (handshake,
-/// bounded retries, reconnect-and-resume) fault-free vs under ~1% injected
+/// The resilience tax: full wire sessions driven by retrying clients
+/// (handshake, bounded retries, reconnect-and-resume) fault-free vs under ~1% injected
 /// connection resets, against a lease-configured server. Reports
 /// sessions/sec and p99 session latency for both, so the price of
 /// surviving a hostile network is a measured number.

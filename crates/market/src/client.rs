@@ -16,19 +16,28 @@
 //! surfaces as [`WireError::Timeout`] wrapped in an `io::Error` of kind
 //! `TimedOut` instead of blocking forever.
 //!
-//! **Resilience.** A client built with [`WireClient::builder`] performs
-//! the protocol-v2 `Hello` handshake on connect and remembers the
-//! [`crate::session::SessionToken`] of every session it opens. With a
-//! [`RetryPolicy`] attached, [`WireClient::call`] becomes an exactly-once
-//! retry loop: each attempt runs under `op_timeout`, failures tear the
-//! connection down and reconnect (re-`Hello`, then `ResumeSession` for
-//! every remembered token), attempts are bounded, and the backoff between
-//! them is exponential with deterministic seeded jitter (the same
-//! [`splitmix64`] + golden-ratio recipe the session layer's purchase seeds
-//! use — two clients with the same policy seed back off identically).
-//! Retried requests reuse their original request id, so the server's
-//! replay cache answers duplicates with the recorded bytes and a purchase
-//! is never charged twice.
+//! **Handshake.** Every client speaks [`wire::PROTOCOL_VERSION`] and opens
+//! its connection with a `Hello` ([`WireClient::connect`] is shorthand for
+//! `builder(addr).connect()`). It remembers the
+//! [`crate::session::SessionToken`] of every session it opens.
+//!
+//! **Connection-level faults.** A server that sheds a connection (full
+//! accept backlog) or loses its framing answers with one fault frame under
+//! request id 0 and closes. [`WireClient::call`] and the handshake turn that
+//! frame into an `io::Error` of kind `ConnectionAborted` carrying the
+//! fault's text; [`WireClient::recv_reply`] returns it as it came, under
+//! id 0.
+//!
+//! **Resilience.** With a [`RetryPolicy`] attached, [`WireClient::call`]
+//! becomes an exactly-once retry loop: each attempt runs under
+//! `op_timeout`, failures tear the connection down and reconnect
+//! (re-`Hello`, then `ResumeSession` for every remembered token), attempts
+//! are bounded, and the backoff between them is exponential with
+//! deterministic seeded jitter (the same [`splitmix64`] + golden-ratio
+//! recipe the session layer's purchase seeds use — two clients with the
+//! same policy seed back off identically). Retried requests reuse their
+//! original request id, so the server's replay cache answers duplicates
+//! with the recorded bytes and a purchase is never charged twice.
 //!
 //! Handshake and resumption frames draw their request ids from a separate
 //! control-id space ([`CTRL_ID_BASE`] upward) so the *logical* id sequence
@@ -37,11 +46,11 @@
 //! run's recorded transcript byte-identical to the fault-free run (see
 //! `tests/chaos_sweep.rs`).
 //!
-//! With recording on ([`WireClient::recording`] /
-//! [`WireClientBuilder::recording`]), every raw response frame returned to
-//! the caller is appended to an in-memory transcript — the byte string the
-//! determinism contract is stated over (see `tests/wire_service.rs`).
-//! Control frames and discarded stale duplicates are never recorded.
+//! With recording on ([`WireClientBuilder::recording`]), every raw response
+//! frame returned to the caller is appended to an in-memory transcript —
+//! the byte string the determinism contract is stated over (see
+//! `tests/wire_service.rs`). Control frames, connection-level faults and
+//! discarded stale duplicates are never recorded.
 
 use crate::chaos::{ChaosConfig, ChaosStream, Transport};
 use crate::wire::{self, FaultCode, Reply, Request, Response, WireError, HEADER_LEN};
@@ -59,6 +68,11 @@ pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(30);
 /// `ResumeSession`). Logical requests count 1, 2, 3… from below; the two
 /// spaces can never collide.
 pub const CTRL_ID_BASE: u64 = 1 << 63;
+
+/// The request id of a connection-level fault frame: the server's answer
+/// to a shed connection or lost framing, sent before it closes. Neither id
+/// space above ever assigns it.
+const CONN_FAULT_ID: u64 = 0;
 
 /// Golden-ratio stride of the backoff-jitter sequence (the `splitmix64`
 /// recipe shared with `purchase_seed` and `chain_seed`).
@@ -165,11 +179,9 @@ fn establish(addr: SocketAddr, chaos: Option<ChaosConfig>, salt: u64) -> io::Res
     })
 }
 
-/// Configures and connects a [`WireClient`]. Built clients perform the
-/// protocol-v2 `Hello` handshake on connect (unless [`v1`] opts out) and
-/// so receive resumption tokens with every opened session.
-///
-/// [`v1`]: WireClientBuilder::v1
+/// Configures and connects a [`WireClient`]. Every client performs the
+/// `Hello` handshake on connect and receives a resumption token with every
+/// opened session.
 #[derive(Debug)]
 pub struct WireClientBuilder {
     addr: Option<SocketAddr>,
@@ -177,7 +189,6 @@ pub struct WireClientBuilder {
     chaos: Option<ChaosConfig>,
     retry: Option<RetryPolicy>,
     read_timeout: Duration,
-    handshake: bool,
 }
 
 impl WireClientBuilder {
@@ -208,18 +219,8 @@ impl WireClientBuilder {
         self
     }
 
-    /// Skip the `Hello` handshake and speak protocol v1 (no resumption
-    /// tokens), like [`WireClient::connect`].
-    pub fn v1(mut self) -> Self {
-        self.handshake = false;
-        self
-    }
-
-    /// Connect (and handshake, unless [`v1`]). With a retry policy, the
-    /// handshake itself is retried over fresh connections within the
-    /// policy's attempt bound.
-    ///
-    /// [`v1`]: WireClientBuilder::v1
+    /// Connect and handshake. With a retry policy, the handshake itself is
+    /// retried over fresh connections within the policy's attempt bound.
     pub fn connect(self) -> io::Result<WireClient> {
         let addr = self.addr.ok_or_else(|| {
             io::Error::new(io::ErrorKind::InvalidInput, "address did not resolve")
@@ -236,49 +237,37 @@ impl WireClientBuilder {
             recv: Vec::with_capacity(16 * 1024),
             next_id: 1,
             next_ctrl_id: CTRL_ID_BASE,
-            version: wire::MIN_PROTOCOL_VERSION,
-            handshaken: false,
             broken: false,
             reconnects: 0,
             record: self.record,
             transcript: Vec::new(),
             tokens: BTreeMap::new(),
         };
-        if self.handshake {
-            let policy = c.retry.unwrap_or(RetryPolicy {
-                attempts: 1,
-                op_timeout: c.read_timeout,
-                ..RetryPolicy::default()
-            });
-            let mut last: Option<io::Error> = None;
-            let mut done = false;
-            for attempt in 0..policy.attempts.max(1) {
-                if attempt > 0 {
-                    std::thread::sleep(policy.backoff(attempt));
-                    if c.broken {
-                        if let Err(e) = c.raw_reconnect() {
-                            last = Some(e);
-                            continue;
-                        }
-                    }
-                }
-                match c.hello() {
-                    Ok(_) => {
-                        done = true;
-                        break;
-                    }
-                    Err(e) => {
-                        c.broken = true;
+        let policy = c.retry.unwrap_or(RetryPolicy {
+            attempts: 1,
+            op_timeout: c.read_timeout,
+            ..RetryPolicy::default()
+        });
+        let mut last: Option<io::Error> = None;
+        for attempt in 0..policy.attempts.max(1) {
+            if attempt > 0 {
+                std::thread::sleep(policy.backoff(attempt));
+                if c.broken {
+                    if let Err(e) = c.raw_reconnect() {
                         last = Some(e);
+                        continue;
                     }
                 }
             }
-            if !done {
-                return Err(last.unwrap_or_else(timeout_error));
+            match c.hello() {
+                Ok(_) => return Ok(c),
+                Err(e) => {
+                    c.broken = true;
+                    last = Some(e);
+                }
             }
-            c.handshaken = true;
         }
-        Ok(c)
+        Err(last.unwrap_or_else(timeout_error))
     }
 }
 
@@ -298,16 +287,12 @@ pub struct WireClient {
     recv: Vec<u8>,
     next_id: u64,
     next_ctrl_id: u64,
-    /// Frame version requests are encoded at (1 until a `Hello` upgrades).
-    version: u16,
-    /// `Hello` completed: reconnects re-handshake and resume sessions.
-    handshaken: bool,
     /// The connection is known dead; the next retry attempt reconnects.
     broken: bool,
     reconnects: u64,
     record: bool,
     transcript: Vec<u8>,
-    /// Session id → resumption token for every v2 session opened through
+    /// Session id → resumption token for every session opened through
     /// this client (sorted, so resumption order is deterministic).
     tokens: BTreeMap<u64, u64>,
 }
@@ -326,20 +311,13 @@ fn is_session_busy(reply: &Reply) -> bool {
 }
 
 impl WireClient {
-    /// Connect speaking protocol v1, no handshake, no retries — the
-    /// pre-resumption client, byte-compatible with the v1 frame stream.
+    /// Connect and handshake with the default settings: no recording, no
+    /// chaos, no retries. Shorthand for `builder(addr).connect()`.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<WireClient> {
-        WireClient::builder(addr).v1().connect()
+        WireClient::builder(addr).connect()
     }
 
-    /// [`WireClient::connect`] with transcript recording on: every raw
-    /// response frame returned to the caller is appended to
-    /// [`WireClient::transcript`] in arrival order.
-    pub fn recording(addr: impl ToSocketAddrs) -> io::Result<WireClient> {
-        WireClient::builder(addr).v1().recording().connect()
-    }
-
-    /// Start configuring a resilient (protocol-v2) client.
+    /// Start configuring a client.
     pub fn builder(addr: impl ToSocketAddrs) -> WireClientBuilder {
         WireClientBuilder {
             addr: addr.to_socket_addrs().ok().and_then(|mut it| it.next()),
@@ -347,7 +325,6 @@ impl WireClient {
             chaos: None,
             retry: None,
             read_timeout: DEFAULT_READ_TIMEOUT,
-            handshake: true,
         }
     }
 
@@ -359,12 +336,6 @@ impl WireClient {
     /// The most recently assigned logical request id (0 before the first).
     pub fn last_id(&self) -> u64 {
         self.next_id - 1
-    }
-
-    /// The frame version this client currently encodes at (1, or the
-    /// `Hello`-negotiated version).
-    pub fn version(&self) -> u16 {
-        self.version
     }
 
     /// Connections re-established by the retry layer.
@@ -379,15 +350,20 @@ impl WireClient {
     pub fn queue(&mut self, req: &Request) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        wire::encode_request_v(&mut self.send, self.version, id, req);
+        self.encode(id, req);
         id
     }
 
+    /// Append `req` to the send buffer under `request_id`.
+    fn encode(&mut self, request_id: u64, req: &Request) {
+        wire::encode_request_v(&mut self.send, wire::PROTOCOL_VERSION, request_id, req);
+    }
+
     /// Re-encode `req` under an already-assigned request id and flush it —
-    /// an explicit retry. Against a v2 server the duplicate id is answered
-    /// from the replay cache with the originally recorded bytes.
+    /// an explicit retry. The server answers the duplicate id from the
+    /// session's replay cache with the originally recorded bytes.
     pub fn resend(&mut self, request_id: u64, req: &Request) -> io::Result<()> {
-        wire::encode_request_v(&mut self.send, self.version, request_id, req);
+        self.encode(request_id, req);
         self.flush()
     }
 
@@ -455,7 +431,7 @@ impl WireClient {
 
     /// Decode the complete frame heading the receive buffer, draining it,
     /// and record it when `record` accepts the decoded reply. Learns
-    /// resumption tokens from v2 `OpenSession` replies as they pass through.
+    /// resumption tokens from `OpenSession` replies as they pass through.
     fn take_reply(
         &mut self,
         h: &wire::FrameHeader,
@@ -469,11 +445,25 @@ impl WireClient {
         }
         self.recv.drain(..frame_len);
         if let Reply::Ok(Response::OpenSession { session, token, .. }) = &reply {
-            if *token != 0 {
-                self.tokens.insert(*session, *token);
-            }
+            self.tokens.insert(*session, *token);
         }
         Ok(reply)
+    }
+
+    /// Drain the connection-level frame heading the receive buffer (request
+    /// id [`CONN_FAULT_ID`]: the server's last word before it closes a shed
+    /// or unframeable connection) and turn it into an error carrying the
+    /// fault's text. Never recorded.
+    fn connection_fault(&mut self, h: &wire::FrameHeader, frame_len: usize) -> io::Error {
+        let reply = wire::decode_reply_v(h.version, h.opcode, &self.recv[HEADER_LEN..frame_len]);
+        self.recv.drain(..frame_len);
+        match reply {
+            Ok(Reply::Fault(f)) => io::Error::new(io::ErrorKind::ConnectionAborted, f.to_string()),
+            Ok(Reply::Ok(_)) => protocol_io_error(WireError::Malformed(
+                "success reply under the connection-level request id",
+            )),
+            Err(e) => protocol_io_error(e),
+        }
     }
 
     /// Block until one complete response frame is available and decode it,
@@ -487,7 +477,8 @@ impl WireClient {
 
     /// Await the reply for `request_id` under `deadline`, draining (without
     /// recording) stale frames from earlier timed-out attempts; `record`
-    /// decides whether the reply itself enters the transcript.
+    /// decides whether the reply itself enters the transcript. A
+    /// connection-level fault ends the wait with its text.
     fn await_reply(
         &mut self,
         request_id: u64,
@@ -500,6 +491,9 @@ impl WireClient {
             first = false;
             let remaining = deadline.saturating_sub(start.elapsed());
             let (h, frame_len) = self.next_frame(remaining.max(Duration::from_millis(1)))?;
+            if h.request_id == CONN_FAULT_ID {
+                return Err(self.connection_fault(&h, frame_len));
+            }
             if h.request_id != request_id {
                 // A stale duplicate (or a reply the caller abandoned on a
                 // previous timeout): server replays are byte-identical, so
@@ -513,9 +507,10 @@ impl WireClient {
     }
 
     /// Send one request and block for its reply. Without a [`RetryPolicy`]
-    /// this is the depth-1 convenience over `queue`/`flush`/`recv_reply`
-    /// (and panics if the response id does not match — only valid with no
-    /// other requests in flight). With a policy, failures reconnect,
+    /// this is the depth-1 convenience over `queue`/`flush`/`recv_reply`: a
+    /// connection-level fault comes back as an error carrying its text, and
+    /// any other reply under a different id panics (`call` is only valid
+    /// with no other requests in flight). With a policy, failures reconnect,
     /// resume and retry under the original request id, bounded by
     /// `attempts`; so does a [`Fault::session_busy`] answer, which is never
     /// recorded.
@@ -526,9 +521,12 @@ impl WireClient {
             None => {
                 let id = self.queue(req);
                 self.flush()?;
-                let (got, reply) = self.recv_reply()?;
-                assert_eq!(got, id, "call() used with requests in flight");
-                Ok(reply)
+                let (h, frame_len) = self.next_frame(self.read_timeout)?;
+                if h.request_id == CONN_FAULT_ID {
+                    return Err(self.connection_fault(&h, frame_len));
+                }
+                assert_eq!(h.request_id, id, "call() used with requests in flight");
+                self.take_reply(&h, frame_len, |_| true)
             }
             Some(policy) => self.call_with_retry(req, policy),
         }
@@ -549,7 +547,7 @@ impl WireClient {
                 }
             }
             self.send.clear();
-            wire::encode_request_v(&mut self.send, self.version, id, req);
+            self.encode(id, req);
             if let Err(e) = self.flush() {
                 self.broken = true;
                 last = Some(e);
@@ -586,14 +584,12 @@ impl WireClient {
     }
 
     /// Run the `Hello` handshake: offer [`wire::PROTOCOL_VERSION`] and all
-    /// feature bits, adopt the accepted version for subsequent frames, and
-    /// return `(version, features)` as granted by the server.
+    /// feature bits, and return `(version, features)` as granted by the
+    /// server.
     pub fn hello(&mut self) -> io::Result<(u16, u32)> {
         let id = self.next_ctrl_id;
         self.next_ctrl_id += 1;
-        wire::encode_request_v(
-            &mut self.send,
-            self.version,
+        self.encode(
             id,
             &Request::Hello {
                 version: wire::PROTOCOL_VERSION,
@@ -603,10 +599,7 @@ impl WireClient {
         self.flush()?;
         let deadline = self.ctrl_deadline();
         match self.await_reply(id, deadline, |_| false)? {
-            Reply::Ok(Response::Hello { version, features }) => {
-                self.version = version.clamp(wire::MIN_PROTOCOL_VERSION, wire::PROTOCOL_VERSION);
-                Ok((version, features))
-            }
+            Reply::Ok(Response::Hello { version, features }) => Ok((version, features)),
             Reply::Fault(f) => Err(io::Error::new(
                 io::ErrorKind::ConnectionRefused,
                 f.to_string(),
@@ -642,9 +635,6 @@ impl WireClient {
     }
 
     fn handshake_and_resume(&mut self, policy: &RetryPolicy) -> io::Result<()> {
-        if !self.handshaken {
-            return Ok(());
-        }
         self.hello()?;
         let tokens: Vec<(u64, u64)> = self.tokens.iter().map(|(s, t)| (*s, *t)).collect();
         for (session, token) in tokens {
@@ -663,7 +653,7 @@ impl WireClient {
             }
             let id = self.next_ctrl_id;
             self.next_ctrl_id += 1;
-            wire::encode_request_v(&mut self.send, self.version, id, &Request::Resume { token });
+            self.encode(id, &Request::Resume { token });
             self.flush()?;
             match self.await_reply(id, policy.op_timeout, |_| false)? {
                 Reply::Ok(Response::Resume { .. }) => return Ok(()),
@@ -693,7 +683,8 @@ impl WireClient {
     pub fn send_raw_frame(&mut self, opcode: u16, request_id: u64, payload: &[u8]) {
         let start = self.send.len();
         self.send.extend_from_slice(&wire::MAGIC.to_le_bytes());
-        self.send.extend_from_slice(&self.version.to_le_bytes());
+        self.send
+            .extend_from_slice(&wire::PROTOCOL_VERSION.to_le_bytes());
         self.send.extend_from_slice(&opcode.to_le_bytes());
         self.send.extend_from_slice(&request_id.to_le_bytes());
         self.send

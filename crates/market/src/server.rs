@@ -30,25 +30,30 @@
 //! than hangs, and the bounded accept backlog sheds load at the edge. All
 //! of it is surfaced in [`StatsSnapshot`] via [`Server::stats`].
 //!
-//! **Resilience** (protocol v2): sessions opened under v2 frames survive
-//! their connection. When a connection dies, its v2 sessions are **parked**
-//! in a token registry (if the manager has an idle lease configured) and a
-//! fresh connection re-attaches them with `ResumeSession` + the
-//! [`crate::session::SessionToken`] from the open reply; parked sessions
-//! whose lease expires are reclaimed, releasing their capacity slot. Every
-//! v2 session carries a bounded **replay cache** keyed by request id plus a
-//! digest of the request bytes (ids restart when a fresh client resumes a
-//! parked session, so the id alone is not a request identity): a retried
-//! mutating op (`BuySample`/`Execute`…) after an ambiguous failure
-//! is answered with the recorded reply bytes instead of re-executing, so
-//! the ledger is never double-charged — and retried `OpenSession` /
-//! `CloseSession` frames are deduplicated the same way through the shared
-//! registry. Mid-frame read stalls and slow writes are bounded by
-//! [`ServerConfig::io_deadline`] so a slow-loris peer cannot pin a worker
-//! (idle connections between frames are unaffected). Workers are generic
-//! over [`Transport`], and [`ServerConfig::chaos`] splices a seeded
-//! fault-injecting [`ChaosStream`] under every accepted connection for
-//! deterministic failure testing.
+//! **Framing:** every frame is read and answered at
+//! [`wire::PROTOCOL_VERSION`]; a header with any other version loses the
+//! framing just as bad magic does. Connection-level fault frames (backlog
+//! rejection, lost framing) carry request id 0. A `Hello` is answered
+//! whenever it arrives but is not required before other requests.
+//!
+//! **Resilience:** every session survives its connection. When a
+//! connection dies, its sessions are **parked** in a token registry (if the
+//! manager has an idle lease configured) and a fresh connection re-attaches
+//! them with `ResumeSession` + the [`crate::session::SessionToken`] from
+//! the open reply; parked sessions whose lease expires are reclaimed,
+//! releasing their capacity slot. Every session carries a bounded **replay
+//! cache** keyed by request id plus a digest of the request bytes (ids
+//! restart when a fresh client resumes a parked session, so the id alone is
+//! not a request identity): a retried mutating op (`BuySample`/`Execute`…)
+//! after an ambiguous failure is answered with the recorded reply bytes
+//! instead of re-executing, so the ledger is never double-charged — and
+//! retried `CloseSession` frames (and, under a lease, `OpenSession` frames)
+//! are deduplicated the same way through the shared registry. Mid-frame
+//! read stalls and slow writes are bounded by [`ServerConfig::io_deadline`]
+//! so a slow-loris peer cannot pin a worker (idle connections between
+//! frames are unaffected). Workers are generic over [`Transport`], and
+//! [`ServerConfig::chaos`] splices a seeded fault-injecting [`ChaosStream`]
+//! under every accepted connection for deterministic failure testing.
 
 use crate::chaos::{ChaosConfig, ChaosStream, Transport};
 use crate::session::{Session, SessionConfig, SessionManager};
@@ -519,17 +524,28 @@ fn accept_loop(shared: &Shared, listener: TcpListener) {
     }
 }
 
+/// Append a fault reply to the request `request_id` with raw `opcode`.
+fn encode_fault(send: &mut Vec<u8>, request_id: u64, opcode: u16, fault: Fault) {
+    wire::encode_reply_v(
+        send,
+        wire::PROTOCOL_VERSION,
+        request_id,
+        opcode,
+        &Reply::Fault(fault),
+    );
+}
+
 /// Answer a shed connection with one connection-level `Rejected` frame
 /// (request id 0, fault-only opcode) so the client sees a clean refusal
 /// instead of a silent close.
 fn reject_connection(mut stream: TcpStream) {
     use std::io::Write;
     let mut frame = Vec::with_capacity(64);
-    wire::encode_reply(
+    encode_fault(
         &mut frame,
         0,
         0,
-        &Reply::Fault(Fault::rejected("accept backlog full; retry later")),
+        Fault::rejected("accept backlog full; retry later"),
     );
     drop(stream.write_all(&frame));
 }
@@ -562,23 +578,19 @@ fn next_connection(shared: &Shared) -> Option<(u64, TcpStream)> {
     }
 }
 
-/// One shopper session opened over this connection.
+/// One shopper session opened over this connection. Its replies are
+/// remembered for retry dedup, and it parks on disconnect when a lease is
+/// configured.
 struct ConnSession {
     shopper: u64,
     session: Session,
-    /// The session's resumption token (also minted for v1 sessions, which
-    /// simply never see it on the wire).
+    /// The session's resumption token.
     token: u64,
-    /// Opened (or resumed) under a v2 frame: replies are remembered for
-    /// retry dedup, and the session parks on disconnect when a lease is
-    /// configured.
-    replayable: bool,
     replay: ReplayCache,
 }
 
-/// Serve one connection to completion, then hand its surviving v2 sessions
-/// to the parking registry (v1 sessions drop with the connection, as
-/// before resumption existed).
+/// Serve one connection to completion, then hand its surviving sessions to
+/// the parking registry.
 fn serve_connection<S: Transport>(shared: &Shared, mut stream: S, conn_id: u64) {
     let mut sessions: HashMap<u64, ConnSession> = HashMap::with_capacity(4);
     drive_connection(shared, &mut stream, conn_id, &mut sessions);
@@ -639,13 +651,13 @@ fn drive_connection<S: Transport>(
                 }
                 Err(e) => {
                     // Framing is lost (bad magic/version/length): answer with
-                    // one protocol fault and close — there is no way to
-                    // resynchronize the stream.
+                    // one connection-level protocol fault and close — there
+                    // is no way to resynchronize the stream.
                     shared
                         .counters
                         .protocol_errors
                         .fetch_add(1, Ordering::Relaxed);
-                    wire::encode_reply(&mut send, 0, 0, &Reply::Fault(Fault::protocol(&e)));
+                    encode_fault(&mut send, 0, 0, Fault::protocol(&e));
                     drop(stream.write_all(&send));
                     return;
                 }
@@ -682,19 +694,16 @@ fn expired(since: Option<Instant>, deadline: Duration) -> bool {
     since.is_some_and(|t0| t0.elapsed() >= deadline)
 }
 
-/// Park the connection's surviving resumable sessions in the registry;
-/// everything else drops here (releasing capacity slots immediately).
+/// Park the connection's surviving sessions in the registry when a lease
+/// is configured; otherwise they drop here (releasing capacity slots
+/// immediately).
 fn park_connection(shared: &Shared, conn_id: u64, sessions: HashMap<u64, ConnSession>) {
-    if sessions.is_empty() {
+    if sessions.is_empty() || shared.mgr.lease().is_none() {
         return;
     }
-    let lease_on = shared.mgr.lease().is_some();
     let now = Instant::now();
     let mut reg = shared.registry.lock().unwrap();
     for (_, cs) in sessions {
-        if !(lease_on && cs.replayable) {
-            continue;
-        }
         if let Some(TokenEntry::Attached { conn }) = reg.tokens.get(&cs.token) {
             if *conn == conn_id {
                 reg.tokens.insert(
@@ -712,7 +721,7 @@ fn park_connection(shared: &Shared, conn_id: u64, sessions: HashMap<u64, ConnSes
 }
 
 /// What the post-encode bookkeeping must remember about a dispatched
-/// request (v2 exactly-once records).
+/// request (exactly-once records).
 enum Recorded {
     Nothing,
     Open {
@@ -735,7 +744,7 @@ enum OpenDedup {
     Miss,
 }
 
-/// Answer a retried v2 `OpenSession` from the registry: re-attach the
+/// Answer a retried `OpenSession` from the registry: re-attach the
 /// session if the original connection's death parked it, then replay the
 /// recorded open frame byte-for-byte.
 fn try_dedup_open(
@@ -780,7 +789,6 @@ fn try_dedup_open(
                     shopper: owner,
                     session,
                     token,
-                    replayable: true,
                     replay,
                 },
             );
@@ -820,13 +828,7 @@ fn handle_frame(
                 .counters
                 .protocol_errors
                 .fetch_add(1, Ordering::Relaxed);
-            wire::encode_reply_v(
-                send,
-                h.version,
-                request_id,
-                opcode,
-                &Reply::Fault(Fault::protocol(&e)),
-            );
+            encode_fault(send, request_id, opcode, Fault::protocol(&e));
             return;
         }
     };
@@ -840,56 +842,46 @@ fn handle_frame(
     // client (whose ids restart at 1) inherit a session.
     let digest = request_digest(opcode, payload);
 
-    // Exactly-once interception, v2 frames only: a retried request id is
-    // answered with the recorded reply bytes — no re-execution, no second
-    // ledger charge, bit-identical frames.
-    if h.version >= 2 {
-        match &req {
-            Request::OpenSession { shopper, .. } => {
-                match try_dedup_open(
-                    shared, conn_id, *shopper, request_id, digest, sessions, send,
-                ) {
-                    OpenDedup::Hit => return,
-                    OpenDedup::Busy => {
-                        wire::encode_reply_v(
-                            send,
-                            h.version,
-                            request_id,
-                            opcode,
-                            &Reply::Fault(Fault::session_busy()),
-                        );
+    // Exactly-once interception: a retried request id is answered with the
+    // recorded reply bytes — no re-execution, no second ledger charge,
+    // bit-identical frames.
+    match &req {
+        Request::OpenSession { shopper, .. } => {
+            match try_dedup_open(
+                shared, conn_id, *shopper, request_id, digest, sessions, send,
+            ) {
+                OpenDedup::Hit => return,
+                OpenDedup::Busy => {
+                    encode_fault(send, request_id, opcode, Fault::session_busy());
+                    return;
+                }
+                OpenDedup::Miss => {}
+            }
+        }
+        Request::Quote { session, .. }
+        | Request::QuoteBatch { session, .. }
+        | Request::BuySample { session, .. }
+        | Request::Execute { session, .. }
+        | Request::Repin { session }
+        | Request::CloseSession { session } => {
+            if let Some(cs) = sessions.get(session) {
+                if let Some(frame) = cs.replay.get(request_id, digest) {
+                    shared.counters.replay_hits.fetch_add(1, Ordering::Relaxed);
+                    send.extend_from_slice(frame);
+                    return;
+                }
+            } else if matches!(req, Request::CloseSession { .. }) {
+                let reg = shared.registry.lock().unwrap();
+                if let Some(rec) = reg.closes.get(session) {
+                    if rec.request_id == request_id && rec.digest == digest {
+                        shared.counters.replay_hits.fetch_add(1, Ordering::Relaxed);
+                        send.extend_from_slice(&rec.frame);
                         return;
                     }
-                    OpenDedup::Miss => {}
                 }
             }
-            Request::Quote { session, .. }
-            | Request::QuoteBatch { session, .. }
-            | Request::BuySample { session, .. }
-            | Request::Execute { session, .. }
-            | Request::Repin { session }
-            | Request::CloseSession { session } => {
-                if let Some(cs) = sessions.get(session) {
-                    if cs.replayable {
-                        if let Some(frame) = cs.replay.get(request_id, digest) {
-                            shared.counters.replay_hits.fetch_add(1, Ordering::Relaxed);
-                            send.extend_from_slice(frame);
-                            return;
-                        }
-                    }
-                } else if matches!(req, Request::CloseSession { .. }) {
-                    let reg = shared.registry.lock().unwrap();
-                    if let Some(rec) = reg.closes.get(session) {
-                        if rec.request_id == request_id && rec.digest == digest {
-                            shared.counters.replay_hits.fetch_add(1, Ordering::Relaxed);
-                            send.extend_from_slice(&rec.frame);
-                            return;
-                        }
-                    }
-                }
-            }
-            _ => {}
         }
+        _ => {}
     }
 
     // Admission: every request except Stats and the control frames
@@ -906,13 +898,7 @@ fn handle_frame(
         | Request::CloseSession { session } => match sessions.get(session) {
             Some(cs) => Some(cs.shopper),
             None => {
-                wire::encode_reply_v(
-                    send,
-                    h.version,
-                    request_id,
-                    opcode,
-                    &Reply::Fault(Fault::unknown_session(*session)),
-                );
+                encode_fault(send, request_id, opcode, Fault::unknown_session(*session));
                 return;
             }
         },
@@ -920,12 +906,11 @@ fn handle_frame(
     if let Some(shopper) = shopper {
         if !shared.admit(shopper) {
             shared.counters.rate_limited.fetch_add(1, Ordering::Relaxed);
-            wire::encode_reply_v(
+            encode_fault(
                 send,
-                h.version,
                 request_id,
                 opcode,
-                &Reply::Fault(Fault::rejected("shopper rate limit exceeded; retry later")),
+                Fault::rejected("shopper rate limit exceeded; retry later"),
             );
             return;
         }
@@ -946,8 +931,7 @@ fn handle_frame(
                     let id = session.id().0;
                     let version = session.pinned_version();
                     let token = shared.mgr.session_token(session.id()).0;
-                    let replayable = h.version >= 2;
-                    if replayable && shared.mgr.lease().is_some() {
+                    if shared.mgr.lease().is_some() {
                         record = Recorded::Open {
                             shopper,
                             session: id,
@@ -960,7 +944,6 @@ fn handle_frame(
                             shopper,
                             session,
                             token,
-                            replayable,
                             replay: ReplayCache::default(),
                         },
                     );
@@ -1042,12 +1025,10 @@ fn handle_frame(
         Request::Stats => Reply::Ok(Response::Stats(shared.stats())),
         Request::CloseSession { session } => {
             let cs = sessions.remove(&session).expect("checked above");
-            if cs.replayable {
-                record = Recorded::Close {
-                    session,
-                    token: cs.token,
-                };
-            }
+            record = Recorded::Close {
+                session,
+                token: cs.token,
+            };
             let report = shared.mgr.close(cs.session);
             Reply::Ok(Response::CloseSession {
                 seed: report.seed,
@@ -1058,11 +1039,11 @@ fn handle_frame(
             })
         }
         Request::Hello { version, features } => {
-            if version < wire::MIN_PROTOCOL_VERSION {
+            if version < wire::PROTOCOL_VERSION {
                 Reply::Fault(Fault::unsupported_version(version))
             } else {
                 Reply::Ok(Response::Hello {
-                    version: version.min(wire::PROTOCOL_VERSION),
+                    version: wire::PROTOCOL_VERSION,
                     features: features & wire::SERVER_FEATURES,
                 })
             }
@@ -1095,7 +1076,6 @@ fn handle_frame(
                                 shopper: owner,
                                 session,
                                 token,
-                                replayable: true,
                                 replay,
                             },
                         );
@@ -1120,40 +1100,36 @@ fn handle_frame(
         }
     };
     let frame_start = send.len();
-    wire::encode_reply_v(send, h.version, request_id, opcode, &reply);
-    if h.version >= 2 {
-        match record {
-            Recorded::Nothing => {}
-            Recorded::Open {
-                shopper,
-                session,
-                token,
-            } => {
-                if reply.ok().is_some() {
-                    let mut reg = shared.registry.lock().unwrap();
-                    reg.tokens
-                        .insert(token, TokenEntry::Attached { conn: conn_id });
-                    reg.record_open(
-                        (shopper, request_id),
-                        session,
-                        token,
-                        digest,
-                        &send[frame_start..],
-                    );
-                }
-            }
-            Recorded::Op { session } => {
-                if let Some(cs) = sessions.get_mut(&session) {
-                    if cs.replayable {
-                        cs.replay.put(request_id, digest, &send[frame_start..]);
-                    }
-                }
-            }
-            Recorded::Close { session, token } => {
+    wire::encode_reply_v(send, wire::PROTOCOL_VERSION, request_id, opcode, &reply);
+    match record {
+        Recorded::Nothing => {}
+        Recorded::Open {
+            shopper,
+            session,
+            token,
+        } => {
+            if reply.ok().is_some() {
                 let mut reg = shared.registry.lock().unwrap();
-                reg.tokens.remove(&token);
-                reg.record_close(session, request_id, digest, &send[frame_start..]);
+                reg.tokens
+                    .insert(token, TokenEntry::Attached { conn: conn_id });
+                reg.record_open(
+                    (shopper, request_id),
+                    session,
+                    token,
+                    digest,
+                    &send[frame_start..],
+                );
             }
+        }
+        Recorded::Op { session } => {
+            if let Some(cs) = sessions.get_mut(&session) {
+                cs.replay.put(request_id, digest, &send[frame_start..]);
+            }
+        }
+        Recorded::Close { session, token } => {
+            let mut reg = shared.registry.lock().unwrap();
+            reg.tokens.remove(&token);
+            reg.record_close(session, request_id, digest, &send[frame_start..]);
         }
     }
 }
@@ -1266,7 +1242,8 @@ mod tests {
         assert_eq!(mgr.market().revenue().to_bits(), spent.to_bits());
 
         let stats = server.shutdown();
-        assert_eq!(stats.requests_served, 4);
+        // The connection's Hello plus the four session requests.
+        assert_eq!(stats.requests_served, 5);
         assert_eq!(stats.protocol_errors, 0);
         assert_eq!((stats.sessions_opened, stats.sessions_closed), (1, 1));
     }
@@ -1309,7 +1286,8 @@ mod tests {
             }
         }
         let stats = server.shutdown();
-        assert_eq!(stats.requests_served, 33);
+        // Hello, open and the 32 quotes.
+        assert_eq!(stats.requests_served, 34);
         assert_eq!(stats.protocol_errors, 0);
     }
 
@@ -1392,6 +1370,25 @@ mod tests {
     }
 
     #[test]
+    fn call_after_garbage_returns_the_connection_fault_as_an_error() {
+        let mgr = service(8);
+        let server = Server::start(mgr, ServerConfig::default()).unwrap();
+        let mut client = WireClient::connect(server.addr()).unwrap();
+        // The garbage goes out in the same write as the Stats request; the
+        // server answers the lost framing under request id 0 and closes.
+        client.send_raw_bytes(&[0xAB; 20]);
+        let err = client.call(&Request::Stats).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::ConnectionAborted);
+        let text = err.to_string();
+        assert!(
+            text.contains("Protocol") && text.contains("bad frame magic"),
+            "the error carries the fault text: {text}"
+        );
+        let stats = server.shutdown();
+        assert_eq!(stats.protocol_errors, 1);
+    }
+
+    #[test]
     fn rate_limited_shoppers_get_rejected_frames_not_hangs() {
         let mgr = service(64);
         let server = Server::start(
@@ -1448,6 +1445,7 @@ mod tests {
 
     #[test]
     fn full_backlog_rejects_connections_with_a_frame() {
+        use std::io::Read;
         let mgr = service(8);
         // No workers able to drain: occupy the single worker with an idle
         // connection, then overflow the 1-slot backlog.
@@ -1463,26 +1461,37 @@ mod tests {
         .unwrap();
         let _occupant = WireClient::connect(server.addr()).unwrap();
         // Give the worker a beat to claim the occupant off the queue, then
-        // fill the queue slot and overflow it.
+        // fill the queue slot and overflow it. A client's handshake needs a
+        // free worker, so both later connections are raw streams.
         std::thread::sleep(Duration::from_millis(100));
-        let _queued = WireClient::connect(server.addr()).unwrap();
+        let _queued = TcpStream::connect(server.addr()).unwrap();
         std::thread::sleep(Duration::from_millis(50));
-        let mut shed = WireClient::connect(server.addr()).unwrap();
-        let (id, reply) = client_first_reply(&mut shed);
-        assert_eq!(id, 0);
+        let mut shed = TcpStream::connect(server.addr()).unwrap();
+        shed.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut frame = Vec::new();
+        shed.read_to_end(&mut frame).unwrap();
+        let h = wire::peek_header(&frame, DEFAULT_MAX_PAYLOAD)
+            .unwrap()
+            .unwrap();
+        assert_eq!(h.request_id, 0);
+        assert_eq!(frame.len(), HEADER_LEN + h.payload_len as usize);
+        let reply = wire::decode_reply_v(h.version, h.opcode, &frame[HEADER_LEN..]).unwrap();
         assert_eq!(
             reply.fault().map(|f| f.code),
             Some(crate::wire::FaultCode::Rejected)
         );
+        // A handshaking client shed the same way reports the fault's text.
+        let err = WireClient::connect(server.addr()).unwrap_err();
+        assert!(
+            err.to_string().contains("accept backlog full"),
+            "the error carries the fault text: {err}"
+        );
         let stats = server.shutdown();
-        assert!(stats.connections_rejected >= 1);
+        assert!(stats.connections_rejected >= 2);
     }
 
-    fn client_first_reply(c: &mut WireClient) -> (u64, Reply) {
-        c.recv_reply().unwrap()
-    }
-
-    // --- resilience-layer tests (protocol v2) ---
+    // --- resilience-layer tests ---
 
     /// A manager with resumption on: a 30s lease (long enough to never
     /// lapse mid-test) and a pinned token secret.
@@ -1517,40 +1526,30 @@ mod tests {
         assert_eq!(version, wire::PROTOCOL_VERSION);
         assert_eq!(features, wire::SERVER_FEATURES);
 
-        // A prehistoric version gets a Protocol fault.
-        let reply = client
-            .call(&Request::Hello {
-                version: 0,
-                features: 0,
-            })
-            .unwrap();
-        assert_eq!(
-            reply.fault().map(|f| f.code),
-            Some(crate::wire::FaultCode::Protocol)
-        );
+        // Any older version gets a Protocol fault.
+        for version in [0, 1] {
+            let reply = client
+                .call(&Request::Hello {
+                    version,
+                    features: 0,
+                })
+                .unwrap();
+            assert_eq!(
+                reply.fault().map(|f| f.code),
+                Some(crate::wire::FaultCode::Protocol),
+                "version {version}"
+            );
+        }
         server.shutdown();
     }
 
     #[test]
-    fn v2_open_carries_a_token_and_v1_does_not() {
+    fn open_carries_the_session_token() {
         let mgr = resilient_service(8);
         let server = Server::start(Arc::clone(&mgr), ServerConfig::default()).unwrap();
 
-        let mut v1 = WireClient::connect(server.addr()).unwrap();
-        let open = v1
-            .call(&Request::OpenSession {
-                shopper: 1,
-                seed: 7,
-                budget: 100.0,
-            })
-            .unwrap();
-        let Reply::Ok(Response::OpenSession { token, .. }) = open else {
-            panic!("expected open");
-        };
-        assert_eq!(token, 0, "v1 frames never carry the token");
-
-        let mut v2 = WireClient::builder(server.addr()).connect().unwrap();
-        let open = v2
+        let mut client = WireClient::connect(server.addr()).unwrap();
+        let open = client
             .call(&Request::OpenSession {
                 shopper: 1,
                 seed: 7,
@@ -1663,7 +1662,7 @@ mod tests {
         panic!("session never parked");
     }
 
-    /// A retried v2 `OpenSession` that reaches a second connection while the
+    /// A retried `OpenSession` that reaches a second connection while the
     /// first still holds the session is answered `session_busy`. The retrying
     /// client backs off under the same request id until the first connection
     /// dies and parks the session, then receives the recorded open frame;
@@ -1895,7 +1894,7 @@ mod tests {
         // Drip half a header and stall.
         let mut loris = WireClient::connect(server.addr()).unwrap();
         loris.send_raw_bytes(&wire::MAGIC.to_le_bytes());
-        loris.send_raw_bytes(&[1, 0]);
+        loris.send_raw_bytes(&wire::PROTOCOL_VERSION.to_le_bytes());
         loris.flush().unwrap();
         // An idle (zero-byte) connection on the same server is NOT timed
         // out: only mid-frame stalls are.
@@ -1914,9 +1913,10 @@ mod tests {
     }
 
     #[test]
-    fn server_side_chaos_still_serves_v1_clients_eventually() {
+    fn server_side_chaos_still_serves_plain_clients_eventually() {
         // Chaos on the server side with only benign faults (fragmented
-        // writes + delays): a plain client still completes a session,
+        // writes + delays): a client without a retry policy still
+        // handshakes and completes a session,
         // which pins that the server's frame reassembly and the chaos
         // transport compose.
         let mgr = service(8);

@@ -7,21 +7,21 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic        0x4543_4E44 ("DNCE" on the wire)
-//!      4     2  version      protocol version of THIS frame (1 or 2)
+//!      4     2  version      protocol version of the frame (always 2)
 //!      6     2  opcode       request opcode; responses set RESP_BIT (0x8000)
 //!      8     8  request id   client-chosen tag echoed on the response
 //!     16     4  payload len  bytes following the header (capped)
 //! ```
 //!
-//! Versioning is **per frame**: the server answers every request at the
-//! version its frame carried, so one connection can mix v1 and v2 traffic
-//! and neither side keeps encode state. v1 and v2 payloads differ only in
-//! the `OpenSession` response, which under v2 appends the session's
-//! resumption token; v2 also adds the [`Opcode::Hello`] handshake
-//! (negotiating version and feature bits) and [`Opcode::ResumeSession`]
-//! (re-attach a parked session to a fresh connection). Clients that never send a
-//! `Hello` keep speaking v1 and observe byte-identical frames to the v1
-//! protocol.
+//! Every frame carries [`PROTOCOL_VERSION`]; [`peek_header`] rejects any
+//! other version as [`WireError::BadVersion`] before the payload is read.
+//! The version field stays in the header so a future version can be told
+//! apart at the first frame. A connection normally opens with the
+//! [`Opcode::Hello`] handshake (offering a version and feature bits), but a
+//! well-formed frame is served with or without one. The `OpenSession` reply
+//! carries the session's resumption token, which
+//! [`Opcode::ResumeSession`] presents to re-attach a parked session to a
+//! fresh connection.
 //!
 //! Requests and responses are tagged by `request id`, so a client may keep
 //! many requests in flight on one connection (**pipelining**) and match
@@ -60,12 +60,9 @@ use std::fmt;
 /// Frame magic: the bytes `DNCE` once the `u32` is laid out little-endian.
 pub const MAGIC: u32 = 0x4543_4E44;
 
-/// Newest protocol version this build speaks (and the version a `Hello`
-/// negotiates up to).
+/// The one protocol version this build speaks: every frame header carries
+/// it, and a `Hello` negotiates to it.
 pub const PROTOCOL_VERSION: u16 = 2;
-
-/// Oldest protocol version still accepted in a frame header.
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
 
 /// Feature bit: the server parks disconnected sessions and accepts
 /// [`Opcode::ResumeSession`].
@@ -306,9 +303,7 @@ pub enum Response {
         session: u64,
         /// Catalog version the session pinned.
         version: u64,
-        /// Resumption token ([`crate::session::SessionToken`]). Carried on
-        /// the wire only under protocol v2; v1 frames encode/decode this
-        /// as `0`.
+        /// Resumption token ([`crate::session::SessionToken`]).
         token: u64,
     },
     /// Quoted price.
@@ -362,8 +357,8 @@ pub enum Response {
     },
     /// Handshake accepted.
     Hello {
-        /// Version the server will speak on this connection's v2 frames
-        /// (`min(client version, `[`PROTOCOL_VERSION`]`)`).
+        /// Version the server speaks on this connection
+        /// ([`PROTOCOL_VERSION`]).
         version: u16,
         /// Requested feature bits the server grants.
         features: u32,
@@ -521,13 +516,13 @@ impl Fault {
     }
 
     /// The fault for a `Hello` offering a version older than
-    /// [`MIN_PROTOCOL_VERSION`].
+    /// [`PROTOCOL_VERSION`].
     pub fn unsupported_version(version: u16) -> Fault {
         Fault {
             code: FaultCode::Protocol,
             message: format!(
-                "client version {version} is older than the oldest supported \
-                 version {MIN_PROTOCOL_VERSION}"
+                "client version {version} is older than the supported \
+                 version {PROTOCOL_VERSION}"
             ),
         }
     }
@@ -639,13 +634,8 @@ fn finish_frame(buf: &mut [u8], payload_start: usize) {
     buf[payload_start - 4..payload_start].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Append one encoded request frame to `buf` at protocol v1 (request
-/// payloads are identical across versions; only the header differs).
-pub fn encode_request(buf: &mut Vec<u8>, request_id: u64, req: &Request) {
-    encode_request_v(buf, MIN_PROTOCOL_VERSION, request_id, req);
-}
-
-/// Append one encoded request frame to `buf` at the given header version.
+/// Append one encoded request frame to `buf` at the given header version
+/// ([`PROTOCOL_VERSION`] for every frame a peer will accept).
 pub fn encode_request_v(buf: &mut Vec<u8>, version: u16, request_id: u64, req: &Request) {
     let start = begin_frame(buf, version, req.opcode() as u16, request_id);
     match req {
@@ -704,16 +694,11 @@ pub fn encode_request_v(buf: &mut Vec<u8>, version: u16, request_id: u64, req: &
     finish_frame(buf, start);
 }
 
-/// Append one encoded response frame to `buf` at protocol v1. `req_opcode`
+/// Append one encoded response frame to `buf` at the given header version
+/// ([`PROTOCOL_VERSION`] for every frame a peer will accept). `req_opcode`
 /// is the raw opcode of the request being answered (`0` for
 /// connection-level faults, e.g. a backlog rejection before any request
 /// was read).
-pub fn encode_reply(buf: &mut Vec<u8>, request_id: u64, req_opcode: u16, reply: &Reply) {
-    encode_reply_v(buf, MIN_PROTOCOL_VERSION, request_id, req_opcode, reply);
-}
-
-/// Append one encoded response frame to `buf` at the given version — the
-/// server always answers at the version the request frame carried.
 pub fn encode_reply_v(
     buf: &mut Vec<u8>,
     version: u16,
@@ -734,12 +719,7 @@ pub fn encode_reply_v(
                 } => {
                     put_u64(buf, *session);
                     put_u64(buf, *pinned);
-                    // The resumption token is the one payload difference
-                    // between v1 and v2: v1 frames stay byte-identical to
-                    // the pre-token protocol.
-                    if version >= 2 {
-                        put_u64(buf, *token);
-                    }
+                    put_u64(buf, *token);
                 }
                 Response::Quote { price } => put_f64(buf, *price),
                 Response::QuoteBatch { prices } => {
@@ -897,9 +877,9 @@ impl<'a> Reader<'a> {
 ///
 /// Returns `Ok(None)` when fewer than [`HEADER_LEN`] bytes are buffered (read
 /// more), `Ok(Some(header))` on a valid header, and an error on bad magic,
-/// unsupported version, or a payload length beyond `max_payload` — all
-/// checked **before** any payload is buffered, so a hostile length can never
-/// force an allocation.
+/// a version other than [`PROTOCOL_VERSION`], or a payload length beyond
+/// `max_payload` — all checked **before** any payload is buffered, so a
+/// hostile length can never force an allocation.
 pub fn peek_header(buf: &[u8], max_payload: u32) -> Result<Option<FrameHeader>, WireError> {
     if buf.len() < HEADER_LEN {
         return Ok(None);
@@ -910,7 +890,7 @@ pub fn peek_header(buf: &[u8], max_payload: u32) -> Result<Option<FrameHeader>, 
         return Err(WireError::BadMagic(magic));
     }
     let version = r.u16().unwrap();
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+    if version != PROTOCOL_VERSION {
         return Err(WireError::BadVersion(version));
     }
     let opcode = r.u16().unwrap();
@@ -983,15 +963,14 @@ pub fn decode_request(opcode: u16, payload: &[u8]) -> Result<Request, WireError>
     Ok(req)
 }
 
-/// Decode a v1 response payload for the header's raw opcode (which must
-/// carry [`RESP_BIT`]; opcode `RESP_BIT | 0` is a connection-level fault
-/// frame).
-pub fn decode_reply(opcode: u16, payload: &[u8]) -> Result<Reply, WireError> {
-    decode_reply_v(MIN_PROTOCOL_VERSION, opcode, payload)
-}
-
-/// Decode a response payload at the version its frame header carried.
+/// Decode a response payload for the version and raw opcode its frame
+/// header carried. The version must be [`PROTOCOL_VERSION`]; the opcode
+/// must carry [`RESP_BIT`] (opcode `RESP_BIT | 0` is a connection-level
+/// fault frame).
 pub fn decode_reply_v(version: u16, opcode: u16, payload: &[u8]) -> Result<Reply, WireError> {
+    if version != PROTOCOL_VERSION {
+        return Err(WireError::BadVersion(version));
+    }
     if opcode & RESP_BIT == 0 {
         return Err(WireError::UnknownOpcode(opcode));
     }
@@ -1013,7 +992,7 @@ pub fn decode_reply_v(version: u16, opcode: u16, payload: &[u8]) -> Result<Reply
         Opcode::OpenSession => Response::OpenSession {
             session: r.u64()?,
             version: r.u64()?,
-            token: if version >= 2 { r.u64()? } else { 0 },
+            token: r.u64()?,
         },
         Opcode::Quote => Response::Quote { price: r.f64()? },
         Opcode::QuoteBatch => {
@@ -1110,13 +1089,13 @@ mod tests {
 
     fn frame_of_request(request_id: u64, req: &Request) -> Vec<u8> {
         let mut buf = Vec::new();
-        encode_request(&mut buf, request_id, req);
+        encode_request_v(&mut buf, PROTOCOL_VERSION, request_id, req);
         buf
     }
 
     fn frame_of_reply(request_id: u64, op: u16, reply: &Reply) -> Vec<u8> {
         let mut buf = Vec::new();
-        encode_reply(&mut buf, request_id, op, reply);
+        encode_reply_v(&mut buf, PROTOCOL_VERSION, request_id, op, reply);
         buf
     }
 
@@ -1134,7 +1113,7 @@ mod tests {
         let buf = frame_of_reply(9, op as u16, reply);
         let h = peek_header(&buf, DEFAULT_MAX_PAYLOAD).unwrap().unwrap();
         assert_eq!(h.opcode, op as u16 | RESP_BIT);
-        let back = decode_reply(h.opcode, &buf[HEADER_LEN..]).unwrap();
+        let back = decode_reply_v(h.version, h.opcode, &buf[HEADER_LEN..]).unwrap();
         assert_eq!(&back, reply);
     }
 
@@ -1143,7 +1122,7 @@ mod tests {
         let buf = frame_of_request(0x0102_0304_0506_0708, &Request::Stats);
         assert_eq!(buf.len(), HEADER_LEN);
         assert_eq!(&buf[0..4], b"DNCE");
-        assert_eq!(&buf[4..6], &1u16.to_le_bytes());
+        assert_eq!(&buf[4..6], &PROTOCOL_VERSION.to_le_bytes());
         assert_eq!(&buf[6..8], &(Opcode::Stats as u16).to_le_bytes());
         assert_eq!(&buf[8..16], &0x0102_0304_0506_0708u64.to_le_bytes());
         assert_eq!(&buf[16..20], &0u32.to_le_bytes());
@@ -1201,7 +1180,7 @@ mod tests {
                 Reply::Ok(Response::OpenSession {
                     session: 8,
                     version: 2,
-                    token: 0,
+                    token: 0xABCD_EF01_2345_6789,
                 }),
             ),
             (Opcode::Quote, Reply::Ok(Response::Quote { price: 1.75 })),
@@ -1296,56 +1275,39 @@ mod tests {
     }
 
     #[test]
-    fn open_reply_carries_the_token_only_under_v2() {
+    fn open_reply_carries_the_token() {
         let reply = Reply::Ok(Response::OpenSession {
             session: 8,
             version: 3,
             token: 0xABCD_EF01_2345_6789,
         });
-        // v2 framing roundtrips the token.
-        let mut v2 = Vec::new();
-        encode_reply_v(&mut v2, 2, 9, Opcode::OpenSession as u16, &reply);
-        let h = peek_header(&v2, DEFAULT_MAX_PAYLOAD).unwrap().unwrap();
-        assert_eq!(h.version, 2);
-        assert_eq!(
-            decode_reply_v(h.version, h.opcode, &v2[HEADER_LEN..]).unwrap(),
-            reply
-        );
-        // v1 framing drops it: the frame is byte-identical to encoding the
-        // same reply with token 0 (the pre-token wire format).
-        let mut v1 = Vec::new();
-        encode_reply(&mut v1, 9, Opcode::OpenSession as u16, &reply);
-        let mut v1_zero = Vec::new();
-        encode_reply(
-            &mut v1_zero,
+        let mut buf = Vec::new();
+        encode_reply_v(
+            &mut buf,
+            PROTOCOL_VERSION,
             9,
             Opcode::OpenSession as u16,
-            &Reply::Ok(Response::OpenSession {
-                session: 8,
-                version: 3,
-                token: 0,
-            }),
+            &reply,
         );
-        assert_eq!(v1, v1_zero);
-        let h = peek_header(&v1, DEFAULT_MAX_PAYLOAD).unwrap().unwrap();
-        assert_eq!(h.version, 1);
-        let back = decode_reply_v(h.version, h.opcode, &v1[HEADER_LEN..]).unwrap();
-        let Reply::Ok(Response::OpenSession { token, .. }) = back else {
-            panic!("wrong reply: {back:?}");
-        };
-        assert_eq!(token, 0);
+        let h = peek_header(&buf, DEFAULT_MAX_PAYLOAD).unwrap().unwrap();
+        assert_eq!(h.version, PROTOCOL_VERSION);
+        assert_eq!(
+            h.payload_len,
+            1 + 3 * 8,
+            "status + session + version + token"
+        );
+        assert_eq!(
+            decode_reply_v(h.version, h.opcode, &buf[HEADER_LEN..]).unwrap(),
+            reply
+        );
     }
 
     #[test]
-    fn both_header_versions_are_accepted_and_surfaced() {
-        for v in [1u16, 2] {
-            let mut buf = Vec::new();
-            encode_request_v(&mut buf, v, 1, &Request::Stats);
-            let h = peek_header(&buf, DEFAULT_MAX_PAYLOAD).unwrap().unwrap();
-            assert_eq!(h.version, v);
-        }
+    fn header_version_is_accepted_and_surfaced() {
         let mut buf = Vec::new();
-        encode_request(&mut buf, 1, &Request::Stats);
+        encode_request_v(&mut buf, PROTOCOL_VERSION, 1, &Request::Stats);
+        let h = peek_header(&buf, DEFAULT_MAX_PAYLOAD).unwrap().unwrap();
+        assert_eq!(h.version, PROTOCOL_VERSION);
         buf[4..6].copy_from_slice(&0u16.to_le_bytes());
         assert_eq!(
             peek_header(&buf, DEFAULT_MAX_PAYLOAD),
@@ -1384,12 +1346,20 @@ mod tests {
             peek_header(&buf, DEFAULT_MAX_PAYLOAD),
             Err(WireError::BadMagic(_))
         ));
-        let mut buf = frame_of_request(1, &Request::Stats);
-        buf[4] = 9;
-        assert_eq!(
-            peek_header(&buf, DEFAULT_MAX_PAYLOAD),
-            Err(WireError::BadVersion(9))
-        );
+        for version in [1u16, 9] {
+            let mut buf = frame_of_request(1, &Request::Stats);
+            buf[4..6].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                peek_header(&buf, DEFAULT_MAX_PAYLOAD),
+                Err(WireError::BadVersion(version))
+            );
+            // A reply decoded at any version but the protocol's is refused
+            // the same way.
+            assert_eq!(
+                decode_reply_v(version, Opcode::Stats as u16 | RESP_BIT, &[0]),
+                Err(WireError::BadVersion(version))
+            );
+        }
     }
 
     #[test]
@@ -1411,7 +1381,10 @@ mod tests {
             decode_request(0x7777, &[]),
             Err(WireError::UnknownOpcode(0x7777))
         );
-        assert_eq!(decode_reply(0x0005, &[0]), Err(WireError::UnknownOpcode(5)));
+        assert_eq!(
+            decode_reply_v(PROTOCOL_VERSION, 0x0005, &[0]),
+            Err(WireError::UnknownOpcode(5))
+        );
     }
 
     #[test]
@@ -1464,7 +1437,11 @@ mod tests {
         let mut payload = vec![0u8];
         put_u32(&mut payload, u32::MAX);
         assert_eq!(
-            decode_reply(Opcode::QuoteBatch as u16 | RESP_BIT, &payload),
+            decode_reply_v(
+                PROTOCOL_VERSION,
+                Opcode::QuoteBatch as u16 | RESP_BIT,
+                &payload
+            ),
             Err(WireError::Truncated)
         );
     }
@@ -1472,7 +1449,11 @@ mod tests {
     #[test]
     fn bad_status_bytes_are_clean_errors() {
         assert_eq!(
-            decode_reply(Opcode::Quote as u16 | RESP_BIT, &[99, 0, 0, 0, 0]),
+            decode_reply_v(
+                PROTOCOL_VERSION,
+                Opcode::Quote as u16 | RESP_BIT,
+                &[99, 0, 0, 0, 0]
+            ),
             Err(WireError::Malformed("unknown fault code"))
         );
         // A fault message that is not UTF-8.
@@ -1480,7 +1461,7 @@ mod tests {
         put_u32(&mut payload, 2);
         payload.extend_from_slice(&[0xFF, 0xFE]);
         assert_eq!(
-            decode_reply(Opcode::Quote as u16 | RESP_BIT, &payload),
+            decode_reply_v(PROTOCOL_VERSION, Opcode::Quote as u16 | RESP_BIT, &payload),
             Err(WireError::Malformed("non-UTF-8 message"))
         );
     }
@@ -1560,7 +1541,7 @@ mod tests {
                     _ => Request::Resume { token: session },
                 };
                 let mut buf = Vec::new();
-                encode_request(&mut buf, seed, &req);
+                encode_request_v(&mut buf, PROTOCOL_VERSION, seed, &req);
                 let h = peek_header(&buf, DEFAULT_MAX_PAYLOAD).unwrap().unwrap();
                 prop_assert_eq!(h.request_id, seed);
                 prop_assert_eq!(buf.len(), HEADER_LEN + h.payload_len as usize);
@@ -1572,7 +1553,6 @@ mod tests {
             #[test]
             fn reply_roundtrip_holds(
                 op in 0usize..10,
-                version in 1u16..=2,
                 a in 0u64..u64::MAX,
                 b in 0u64..u64::MAX,
                 price in 0.0f64..1e6,
@@ -1583,9 +1563,7 @@ mod tests {
                     0 => (Opcode::OpenSession, Response::OpenSession {
                         session: a,
                         version: b,
-                        // v1 framing drops the token, so a roundtrip only
-                        // holds when it is 0 at v1.
-                        token: if version >= 2 { b ^ a } else { 0 },
+                        token: b ^ a,
                     }),
                     1 => (Opcode::Quote, Response::Quote { price }),
                     2 => (Opcode::QuoteBatch, Response::QuoteBatch {
@@ -1619,9 +1597,9 @@ mod tests {
                     _ => Reply::Ok(resp),
                 };
                 let mut buf = Vec::new();
-                encode_reply_v(&mut buf, version, a, opcode as u16, &reply);
+                encode_reply_v(&mut buf, PROTOCOL_VERSION, a, opcode as u16, &reply);
                 let h = peek_header(&buf, DEFAULT_MAX_PAYLOAD).unwrap().unwrap();
-                prop_assert_eq!(h.version, version);
+                prop_assert_eq!(h.version, PROTOCOL_VERSION);
                 prop_assert_eq!(h.opcode, opcode as u16 | RESP_BIT);
                 let back = decode_reply_v(h.version, h.opcode, &buf[HEADER_LEN..]).unwrap();
                 prop_assert_eq!(back, reply);

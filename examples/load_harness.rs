@@ -196,8 +196,10 @@ fn main() {
     let stats = server.shutdown();
     assert_eq!(stats.protocol_errors, 0, "protocol errors during the run");
     assert_eq!(stats.rate_limited, 0);
+    // Every request was served, plus one `Hello` per client connection.
     assert_eq!(
-        stats.requests_served as usize, total_requests,
+        stats.requests_served as usize,
+        total_requests + clients,
         "every request was served"
     );
     assert_eq!(stats.sessions_open, 0, "all sessions closed");

@@ -11,8 +11,8 @@ use std::sync::{Arc, Barrier};
 
 use dance::market::wire::{self, Reply, Request, Response};
 use dance::market::{
-    CatalogSnapshot, DatasetId, FaultCode, RateLimit, Server, ServerConfig, SessionManager,
-    SessionManagerConfig, WireClient,
+    CatalogSnapshot, DatasetId, FaultCode, RateLimit, Server, ServerConfig, SessionId,
+    SessionManager, SessionManagerConfig, WireClient,
 };
 use dance::prelude::*;
 use dance::relation::TableDelta;
@@ -109,7 +109,7 @@ struct ClientRun {
 /// learn the session id), then every shopping op queued as one in-flight
 /// batch (depth = ops), then close (awaited).
 fn run_wire_client(addr: std::net::SocketAddr, client: usize, seed: u64) -> ClientRun {
-    let mut c = WireClient::recording(addr).unwrap();
+    let mut c = WireClient::builder(addr).recording().connect().unwrap();
     let open = c
         .call(&Request::OpenSession {
             shopper: client as u64,
@@ -167,7 +167,13 @@ fn replay_transcript(mgr: &SessionManager, run: &ClientRun, snapshot: CatalogSna
     let mut expected = Vec::new();
     let mut next_id = 1u64;
     let push = |op: wire::Opcode, resp: Response, expected: &mut Vec<u8>, next_id: &mut u64| {
-        wire::encode_reply(expected, *next_id, op as u16, &Reply::Ok(resp));
+        wire::encode_reply_v(
+            expected,
+            wire::PROTOCOL_VERSION,
+            *next_id,
+            op as u16,
+            &Reply::Ok(resp),
+        );
         *next_id += 1;
     };
     push(
@@ -175,7 +181,7 @@ fn replay_transcript(mgr: &SessionManager, run: &ClientRun, snapshot: CatalogSna
         Response::OpenSession {
             session: run.wire_session,
             version: session.pinned_version(),
-            token: 0,
+            token: mgr.session_token(SessionId(run.wire_session)).0,
         },
         &mut expected,
         &mut next_id,
@@ -261,7 +267,7 @@ fn eight_wire_clients_update_midrun_transcripts_replay_bitwise() {
                 scope.spawn(move || {
                     let seed = 0xC0FFEE + client as u64;
                     if client < 4 {
-                        let mut c = WireClient::recording(addr).unwrap();
+                        let mut c = WireClient::builder(addr).recording().connect().unwrap();
                         let open = c
                             .call(&Request::OpenSession {
                                 shopper: client as u64,
@@ -352,7 +358,8 @@ fn eight_wire_clients_update_midrun_transcripts_replay_bitwise() {
 
     let stats = server.shutdown();
     assert_eq!(stats.protocol_errors, 0);
-    assert_eq!(stats.requests_served, 8 * 7);
+    // Per client: Hello, open, five shopping ops and close.
+    assert_eq!(stats.requests_served, 8 * 8);
     assert_eq!(stats.sessions_opened as usize, 8 + 8); // 8 wire + 8 replays
 }
 
