@@ -7,7 +7,7 @@ use dance_core::plan::correlation_difference;
 use dance_core::{AcquisitionRequest, Constraints, Dance};
 use dance_datagen::tpch::TpchConfig;
 use dance_datagen::workload::{tpch_workload, AcquisitionQuery, Workload};
-use dance_market::{DatasetId, Marketplace};
+use dance_market::Marketplace;
 use dance_relation::Table;
 use dance_sampling::resample::ResampleConfig;
 
@@ -68,15 +68,7 @@ fn three_way(
             .corr
     });
 
-    let full: Vec<Table> = (0..dance.graph().num_instances() as u32)
-        .map(|v| {
-            market
-                .full_table_for_evaluation(DatasetId(v))
-                .expect("market dataset")
-                .as_ref()
-                .clone()
-        })
-        .collect();
+    let full = dance.full_tier(market).expect("full tier");
     let gp = brute_force(
         dance.graph(),
         dance.free_vertices(),

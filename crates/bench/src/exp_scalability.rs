@@ -7,8 +7,6 @@ use dance_core::{AcquisitionRequest, Constraints};
 use dance_datagen::tpce::TpceConfig;
 use dance_datagen::tpch::TpchConfig;
 use dance_datagen::workload::{tpce_workload, tpch_workload};
-use dance_market::DatasetId;
-use dance_relation::Table;
 use std::time::Instant;
 
 /// TPC-H subsets for n ∈ {5..8}: always contain the Q1–Q3 join paths.
@@ -111,15 +109,7 @@ pub fn fig4(scale: f64, seed: u64) -> String {
             .expect("LP runs");
             let t_lp = t0.elapsed();
 
-            let full: Vec<Table> = (0..dance.graph().num_instances() as u32)
-                .map(|v| {
-                    market
-                        .full_table_for_evaluation(DatasetId(v))
-                        .expect("market dataset")
-                        .as_ref()
-                        .clone()
-                })
-                .collect();
+            let full = dance.full_tier(&market).expect("full tier");
             let t0 = Instant::now();
             let _ = brute_force(
                 dance.graph(),

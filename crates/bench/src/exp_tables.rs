@@ -134,15 +134,7 @@ pub fn table6(scale: f64, seed: u64) -> String {
         }
 
         // Direct purchase: GP over the full instances.
-        let full: Vec<Table> = (0..dance.graph().num_instances() as u32)
-            .map(|v| {
-                market
-                    .full_table_for_evaluation(dance_market::DatasetId(v))
-                    .expect("vertex is a market dataset")
-                    .as_ref()
-                    .clone()
-            })
-            .collect();
+        let full = dance.full_tier(&market).expect("full tier");
         let gp = brute_force(
             dance.graph(),
             dance.free_vertices(),

@@ -12,12 +12,13 @@
 //! unbounded, mirroring the paper's observation that LP/GP do not halt within
 //! 10 hours on TPC-E.
 
+use crate::full_tier::FullTier;
 use crate::join_graph::JoinGraph;
 use crate::mcmc::{evaluate_assignment, TargetGraph};
 use crate::request::Constraints;
 use crate::target::Cover;
 use dance_quality::tane::TaneConfig;
-use dance_relation::{AttrSet, FxHashSet, Result, Table};
+use dance_relation::{AttrSet, FxHashSet, Result};
 use dance_sampling::resample::ResampleConfig;
 
 /// Caps for the exhaustive search.
@@ -54,8 +55,9 @@ impl Default for BaselineConfig {
 
 /// Exhaustive optimal search over cover pairs.
 ///
-/// `tables = None` → LP (sample-optimal); `tables = Some(full)` → GP
-/// (globally optimal on the original instances).
+/// `full = None` → LP (sample-optimal); `full = Some(tier)` → GP
+/// (globally optimal on the original instances, e.g.
+/// [`crate::Dance::full_tier`]).
 #[allow(clippy::too_many_arguments)]
 pub fn brute_force(
     graph: &JoinGraph,
@@ -65,7 +67,7 @@ pub fn brute_force(
     source_attrs: &AttrSet,
     target_attrs: &AttrSet,
     constraints: &Constraints,
-    tables: Option<&[Table]>,
+    full: Option<&FullTier>,
     cfg: &BaselineConfig,
 ) -> Result<Option<TargetGraph>> {
     let mut best: Option<TargetGraph> = None;
@@ -95,7 +97,7 @@ pub fn brute_force(
                         tc,
                         source_attrs,
                         target_attrs,
-                        tables,
+                        full,
                         cfg.resample.as_ref(),
                         &cfg.tane,
                     )?;

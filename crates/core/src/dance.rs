@@ -27,6 +27,7 @@
 //! every state the walk visits is bit-identical to its uncached
 //! [`evaluate_assignment`], the reference the tests pin the engine against.
 
+use crate::full_tier::FullTier;
 use crate::igraph::minimal_igraph;
 use crate::join_graph::{JoinGraph, JoinGraphConfig};
 use crate::landmark::LandmarkIndex;
@@ -35,7 +36,8 @@ use crate::plan::AcquisitionPlan;
 use crate::request::AcquisitionRequest;
 use crate::target::{enumerate_covers, Cover};
 use dance_market::{Budget, DatasetId, DatasetMeta, Marketplace};
-use dance_relation::{AttrSet, FxHashSet, RelationError, Result, Table, TableDelta};
+use dance_relation::{AttrSet, FxHashSet, Result, Table, TableDelta};
+use std::sync::Arc;
 
 /// Configuration of the middleware.
 #[derive(Debug, Clone)]
@@ -86,7 +88,8 @@ pub struct Dance {
     free: FxHashSet<u32>,
     /// Per vertex: marketplace identity, or `None` for shopper-owned sources.
     dataset_ids: Vec<Option<(DatasetId, String)>>,
-    source_tables: Vec<Table>,
+    /// The shopper's own full instances, in source-vertex order.
+    source_tables: Vec<Arc<Table>>,
     cfg: DanceConfig,
     sample_cost: f64,
     current_rate: f64,
@@ -131,7 +134,7 @@ impl Dance {
             graph,
             free,
             dataset_ids,
-            source_tables: sources,
+            source_tables: sources.into_iter().map(Arc::new).collect(),
             current_rate: cfg.sampling_rate,
             cfg,
             sample_cost,
@@ -309,7 +312,8 @@ impl Dance {
         Ok(())
     }
 
-    /// Execute a plan's queries against the marketplace under a budget.
+    /// Execute a plan's queries against the marketplace under a budget
+    /// ([`Marketplace::purchase`]: one snapshot, each query priced once).
     ///
     /// Returns the purchased projections; fails (without partial purchase)
     /// if the *actual* total price exceeds the remaining budget.
@@ -319,44 +323,43 @@ impl Dance {
         plan: &AcquisitionPlan,
         budget: &mut Budget,
     ) -> Result<Vec<Table>> {
-        // Quote everything first — no partial purchases on overdraft.
-        let mut total = 0.0;
-        for q in &plan.queries {
-            total += market.quote(q.dataset, &q.attrs)?;
-        }
-        budget
-            .try_spend(total)
-            .map_err(|e| RelationError::Shape(format!("budget refused purchase: {e}")))?;
-        let mut out = Vec::with_capacity(plan.queries.len());
-        for q in &plan.queries {
-            let (data, _) = market.execute(q)?;
-            out.push(data);
-        }
-        Ok(out)
+        market.purchase(&plan.queries, budget)
+    }
+
+    /// Every graph vertex's full table, pinned at one snapshot of `market`:
+    /// the marketplace's listings (shared, not copied) and the shopper's own
+    /// sources. What [`Self::evaluate_true`] and the GP baseline evaluate on.
+    pub fn full_tier(&self, market: &Marketplace) -> Result<FullTier> {
+        FullTier::pin(
+            &market.snapshot(),
+            self.dataset_ids
+                .iter()
+                .map(|d| d.as_ref().map(|(id, _)| *id)),
+            &self.source_tables,
+        )
     }
 
     /// Ground-truth evaluation of a target graph on the *full* marketplace
     /// instances (what the shopper actually receives) — used for the paper's
-    /// "real correlation, not the estimated value" reporting.
+    /// "real correlation, not the estimated value" reporting. Reads one
+    /// pinned [`Self::full_tier`]; prices and edge JIs come from the graph's
+    /// full-tier memo.
     pub fn evaluate_true(
         &self,
         market: &Marketplace,
         tg: &TargetGraph,
         req: &AcquisitionRequest,
     ) -> Result<TargetGraph> {
-        // Full tables aligned with graph vertices.
-        let mut tables: Vec<Table> = Vec::with_capacity(self.graph.num_instances());
-        for v in 0..self.graph.num_instances() as u32 {
-            match &self.dataset_ids[v as usize] {
-                Some((id, _)) => {
-                    tables.push(market.full_table_for_evaluation(*id)?.as_ref().clone())
-                }
-                None => {
-                    let si = v as usize - (self.graph.num_instances() - self.source_tables.len());
-                    tables.push(self.source_tables[si].clone());
-                }
-            }
-        }
+        self.evaluate_on(&self.full_tier(market)?, tg, req)
+    }
+
+    /// [`Self::evaluate_true`] on an already pinned full tier.
+    pub(crate) fn evaluate_on(
+        &self,
+        tier: &FullTier,
+        tg: &TargetGraph,
+        req: &AcquisitionRequest,
+    ) -> Result<TargetGraph> {
         // Reconstruct covers from the projections (projection = join attrs ∪
         // cover contribution, so intersecting with AS / AT recovers them).
         let mut sc = Cover::new();
@@ -380,7 +383,7 @@ impl Dance {
             &tc,
             &req.source_attrs,
             &req.target_attrs,
-            Some(&tables),
+            Some(tier),
             None,
             &self.cfg.mcmc.tane,
         )
@@ -550,5 +553,138 @@ mod tests {
             truth.price >= plan.estimated.price * 0.5,
             "same pricing model scale"
         );
+    }
+
+    /// A seller keeps publishing updates of both plan listings while the
+    /// shopper buys the plan and evaluates its truth. Every purchase must
+    /// price all queries on one snapshot and record exactly what it charged,
+    /// and every truth evaluation must read one snapshot. The seller walks
+    /// zip and disease through AA → BA → BB → BA → AA, so the mixed state AB
+    /// is never published: a torn read shows up as a charge or a truth that
+    /// matches no published state.
+    #[test]
+    fn purchase_and_truth_read_one_snapshot_under_seller_updates() {
+        use crate::full_tier::tests::metric_bits;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let (market, sources) = setup();
+        let mut d = Dance::offline(&market, sources, config()).unwrap();
+        let req = AcquisitionRequest::new(
+            AttrSet::from_names(["dn_age"]),
+            AttrSet::from_names(["dn_disease"]),
+        );
+        let plan = d.acquire(&market, &req).unwrap().expect("plan found");
+        let (zip, disease) = (DatasetId(0), DatasetId(1));
+        assert_eq!(
+            plan.queries.iter().map(|q| q.dataset).collect::<Vec<_>>(),
+            [zip, disease]
+        );
+        // Appending rows with existing values and then deleting exactly that
+        // tail restores each listing's table bit for bit.
+        let grow = |id: DatasetId| match id {
+            DatasetId(0) => TableDelta::new(
+                (0..40)
+                    .map(|i| vec![Value::Int(i % 7), Value::Int(0)])
+                    .collect(),
+                Vec::new(),
+            ),
+            _ => TableDelta::new(
+                (0..30)
+                    .map(|_| vec![Value::Int(0), Value::str("d0")])
+                    .collect(),
+                Vec::new(),
+            ),
+        };
+        let shrink = |id: DatasetId| match id {
+            DatasetId(0) => TableDelta::new(Vec::new(), (200..240).collect()),
+            _ => TableDelta::new(Vec::new(), (100..130).collect()),
+        };
+        let steps = [(zip, true), (disease, true), (disease, false), (zip, false)];
+        let apply = |(id, up): (DatasetId, bool)| {
+            let delta = if up { grow(id) } else { shrink(id) };
+            market.apply_update(id, &delta).unwrap();
+        };
+
+        // Each published state's per-query prices and uncached truth.
+        let state = || {
+            let snapshot = market.snapshot();
+            let prices: Vec<f64> = plan
+                .queries
+                .iter()
+                .map(|q| snapshot.quote(q.dataset, &q.attrs).unwrap())
+                .collect();
+            let tier = d.full_tier(&market).unwrap().unversioned();
+            (
+                prices,
+                metric_bits(&d.evaluate_on(&tier, &plan.graph, &req).unwrap()),
+            )
+        };
+        let mut states = vec![state()];
+        for step in steps {
+            apply(step);
+            states.push(state());
+        }
+        assert_eq!(states[4], states[0], "a full cycle restores AA");
+        assert_eq!(states[3], states[1], "shrinking disease restores BA");
+        states.truncate(3);
+        assert!(states[0].0 != states[1].0 && states[1].0 != states[2].0);
+        d.graph().clear_eval_caches();
+
+        /// Stops the seller when the shopper loop ends, also by a panic.
+        struct Stop<'a>(&'a AtomicBool);
+        impl Drop for Stop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    steps.into_iter().for_each(apply);
+                }
+            });
+            let _stop = Stop(&stop);
+            for _ in 0..150 {
+                let before = market.revenue();
+                let mut wallet = Budget::new(f64::INFINITY);
+                d.purchase(&market, &plan, &mut wallet).unwrap();
+                let after = market.revenue();
+                let charged = states
+                    .iter()
+                    .map(|(prices, _)| prices)
+                    .find(|p| {
+                        p.iter().fold(0.0, |a, x| a + x).to_bits() == wallet.spent().to_bits()
+                    })
+                    .expect("the charge prices every query on one published state");
+                let recorded = charged.iter().fold(before, |a, x| a + x);
+                assert_eq!(
+                    after.to_bits(),
+                    recorded.to_bits(),
+                    "revenue moved by the charge"
+                );
+
+                let truth = metric_bits(&d.evaluate_true(&market, &plan.graph, &req).unwrap());
+                assert!(
+                    states.iter().any(|(_, t)| *t == truth),
+                    "the truth matches one published state"
+                );
+                // The tier truth reads: published listing versions only.
+                // Zip's version is odd exactly while it is grown, and
+                // disease grows and shrinks back inside that window.
+                for _ in 0..50 {
+                    let tier = d.full_tier(&market).unwrap();
+                    let version = |id| tier.listing(id).unwrap().1;
+                    let (zv, dv) = (version(0), version(1));
+                    assert!(
+                        if zv % 2 == 0 {
+                            dv == zv
+                        } else {
+                            dv.abs_diff(zv) <= 1
+                        },
+                        "zip v{zv} with disease v{dv} was never published"
+                    );
+                }
+            }
+        });
     }
 }

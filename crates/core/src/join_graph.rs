@@ -42,6 +42,7 @@
 //! `build`/`refresh_sample`.
 
 use crate::cache::{ShardedLru, StampedLru};
+use crate::full_tier::FullKey;
 use crate::mcmc::{EvalKey, TargetGraph};
 use dance_info::ji::{ji_from_sym_counts, PairPartials};
 use dance_market::{DatasetMeta, EntropyPricing, PricingModel};
@@ -89,7 +90,9 @@ pub struct JoinGraphConfig {
     /// selection cache, stamped-LRU like the histogram cache; 0 disables).
     pub sel_cache_cap: usize,
     /// Upper bound on cached sample projections / price estimates per
-    /// (instance, attribute set) (stamped-LRU; 0 disables).
+    /// (instance, attribute set) (stamped-LRU; 0 disables). The full-tier
+    /// memo of exact prices and edge JIs ([`JoinGraph::full_price`],
+    /// [`JoinGraph::full_ji`]) has its own entries under the same bound.
     pub proj_cache_cap: usize,
     /// Upper bound on the materialized per-pair-category partial-sum tables
     /// `apply_delta` maintains for O(changed categories) incident-edge JI
@@ -213,6 +216,12 @@ pub struct JoinGraph {
     /// `apply_delta` also sweep the entries touching the changed instance,
     /// to free their memory. Same sharding and bounding as `sel_cache`.
     pub(crate) eval_memo: ShardedLru<EvalKey, Arc<TargetGraph>>,
+    /// Full-tier scalars (exact entry prices and edge JIs on full tables),
+    /// keyed by the listing versions they read (see [`crate::full_tier`]).
+    /// A listing version names one immutable table, so no upkeep ever
+    /// touches this memo: a seller update just stops hitting old keys,
+    /// which age out. Same sharding as `proj_cache`, same bound.
+    pub(crate) full_memo: ShardedLru<FullKey, f64>,
 }
 
 /// Selection-cache key: `(probe instance, probe generation, build instance,
@@ -286,6 +295,7 @@ impl JoinGraph {
             sel_cache: ShardedLru::new(cfg.sel_cache_cap),
             proj_cache: ShardedLru::new(cfg.proj_cache_cap),
             eval_memo: ShardedLru::new(cfg.eval_memo_cap),
+            full_memo: ShardedLru::new(cfg.proj_cache_cap),
         };
         let all: Vec<u32> = (0..graph.i_edges.len() as u32).collect();
         graph.reweigh(&all)?;
@@ -534,8 +544,9 @@ impl JoinGraph {
     /// The projected table evaluation joins for vertex `v`: a cached `Arc`
     /// projection of the sample when `full` is `None` (the search path —
     /// repeated proposals stop re-cloning column data every iteration), a
-    /// fresh projection of the caller's full table otherwise (the GP /
-    /// ground-truth path; full-table evaluations are rare and never cached).
+    /// fresh projection of the caller's full table otherwise (kept for
+    /// callers that trace the full tier layer by layer; truth evaluation
+    /// itself reads a [`crate::FullTier`]).
     pub fn projected_for_eval(
         &self,
         v: u32,
@@ -565,8 +576,9 @@ impl JoinGraph {
 
     /// The price evaluation charges for `(v, attrs)`: the cached
     /// [`Self::price`] estimate on the sample when `full` is `None`, the
-    /// exact price on the caller's full table otherwise. Shares the
-    /// projection cache's entries (same key), so one knob bounds both.
+    /// exact, uncached price on the caller's full table otherwise (truth
+    /// evaluation uses the memoized [`Self::full_price`] instead). Shares
+    /// the projection cache's entries (same key), so one knob bounds both.
     pub fn price_for_eval(&self, v: u32, attrs: &AttrSet, full: Option<&[Table]>) -> Result<f64> {
         if let Some(full) = full {
             return self.pricing.price(&full[v as usize], attrs);
@@ -652,16 +664,18 @@ impl JoinGraph {
         self.eval_memo.stats()
     }
 
-    /// Drop every cached selection, projection, price and memoized
-    /// evaluation (every shard of the three caches) — the cold-path baseline
-    /// for benches and the fresh-vs-cached pinning tests. Production code
-    /// never needs this: stale entries are unreachable by construction
-    /// (cache keys embed the sample generations they were built against), so
-    /// correctness never depends on clearing anything.
+    /// Drop every cached selection, projection, price, memoized evaluation
+    /// and full-tier scalar (every shard of the four caches) — the cold-path
+    /// baseline for benches and the fresh-vs-cached pinning tests.
+    /// Production code never needs this: stale entries are unreachable by
+    /// construction (cache keys embed the sample generations or listing
+    /// versions they were built against), so correctness never depends on
+    /// clearing anything.
     pub fn clear_eval_caches(&self) {
         self.sel_cache.retain(|_| false);
         self.proj_cache.retain(|_| false);
         self.eval_memo.retain(|_| false);
+        self.full_memo.retain(|_| false);
     }
 
     /// The executor the graph was built on — evaluation call sites

@@ -27,6 +27,7 @@ pub mod baseline;
 mod cache;
 pub mod dance;
 pub mod delta;
+pub mod full_tier;
 pub mod igraph;
 pub mod join_graph;
 pub mod landmark;
@@ -39,6 +40,7 @@ pub mod steiner;
 pub mod target;
 
 pub use dance::{Dance, DanceConfig};
+pub use full_tier::FullTier;
 pub use igraph::IGraph;
 pub use join_graph::{
     JoinGraph, JoinGraphConfig, DEFAULT_EVAL_MEMO_CAP, DEFAULT_HIST_CACHE_CAP,

@@ -14,7 +14,7 @@
 //! visited.
 //!
 //! [`evaluate_assignment`] is the shared evaluation kernel: it is also what
-//! the LP/GP baselines call, with full tables instead of samples for GP.
+//! the LP/GP baselines call, with a [`FullTier`] instead of samples for GP.
 //!
 //! ## Incremental evaluation
 //!
@@ -51,11 +51,11 @@
 //! derivation, so seeded experiment reports stay byte-identical.
 
 use crate::cache::StampedLru;
+use crate::full_tier::FullTier;
 use crate::join_graph::JoinGraph;
 use crate::request::Constraints;
 use crate::target::Cover;
 use dance_info::correlation::{correlation_with, CorrOptions};
-use dance_info::ji::join_informativeness;
 use dance_quality::tane::TaneConfig;
 use dance_relation::hash::stable_hash64;
 use dance_relation::join::JoinEdge;
@@ -141,12 +141,14 @@ impl TargetGraph {
 
 /// Evaluate one edge-assignment into a full [`TargetGraph`].
 ///
-/// * `tables = None` → per-instance data comes from the join-graph samples
+/// * `full = None` → per-instance data comes from the join-graph samples
 ///   (the heuristic and LP paths); edge weights come from the Property 4.1
 ///   table.
-/// * `tables = Some(full)` → full-data evaluation (the GP path and final
+/// * `full = Some(tier)` → full-data evaluation (the GP path and final
 ///   plan reporting); edge weights are exact JI on the full tables and
-///   prices are computed from the full tables too.
+///   prices are computed from the full tables too, both through the
+///   graph's full-tier memo ([`JoinGraph::full_ji`] /
+///   [`JoinGraph::full_price`]).
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_assignment(
     graph: &JoinGraph,
@@ -157,7 +159,7 @@ pub fn evaluate_assignment(
     target_cover: &Cover,
     source_attrs: &AttrSet,
     target_attrs: &AttrSet,
-    tables: Option<&[Table]>,
+    full: Option<&FullTier>,
     resample: Option<&ResampleConfig>,
     tane: &TaneConfig,
 ) -> Result<TargetGraph> {
@@ -190,8 +192,8 @@ pub fn evaluate_assignment(
         source_cover,
         target_cover,
     )?;
-    let weight = weight_fold(graph, tree_edges, &attr_refs, tables)?;
-    let price = price_fold(graph, free, &projections, tables)?;
+    let weight = weight_fold(graph, tree_edges, &attr_refs, full)?;
+    let price = price_fold(graph, free, &projections, full)?;
 
     // Join the projected instances along the tree. Projections come from the
     // graph's cache layer: the sample tier returns shared Arc projections so
@@ -200,7 +202,10 @@ pub fn evaluate_assignment(
     let pos: FxHashMap<u32, usize> = order.iter().enumerate().map(|(i, &v)| (v, i)).collect();
     let projected: Vec<Arc<Table>> = order
         .iter()
-        .map(|&v| graph.projected_for_eval(v, &projections[&v], tables))
+        .map(|&v| match full {
+            None => graph.projected_for_eval(v, &projections[&v], None),
+            Some(tier) => tier.projected(v, &projections[&v]),
+        })
         .collect::<Result<Vec<_>>>()?;
     let refs: Vec<&Table> = projected.iter().map(Arc::as_ref).collect();
     let joined = if tree_edges.is_empty() {
@@ -220,7 +225,7 @@ pub fn evaluate_assignment(
         join_tree_bounded_with(&graph.executor(), &refs, &edges, resample)?.0
     };
 
-    let corr = eval_corr(&joined, source_attrs, target_attrs, tables.is_some())?;
+    let corr = eval_corr(&joined, source_attrs, target_attrs, full.is_some())?;
     let quality = dance_quality::joint::instance_set_quality(&joined, tane)?;
 
     Ok(TargetGraph {
@@ -276,20 +281,18 @@ fn weight_fold(
     graph: &JoinGraph,
     tree_edges: &[(u32, u32)],
     join_attrs: &[&AttrSet],
-    tables: Option<&[Table]>,
+    full: Option<&FullTier>,
 ) -> Result<f64> {
     let mut weight = 0.0;
     for (e, &(a, b)) in tree_edges.iter().enumerate() {
-        weight += match tables {
+        weight += match full {
             None => graph.weight(a, b, join_attrs[e]).ok_or_else(|| {
                 RelationError::InvalidJoin(format!(
                     "no candidate weight for edge ({a},{b}) on {}",
                     join_attrs[e]
                 ))
             })?,
-            Some(full) => {
-                join_informativeness(&full[a as usize], &full[b as usize], join_attrs[e])?
-            }
+            Some(tier) => graph.full_ji(tier, a, b, join_attrs[e])?,
         };
     }
     Ok(weight)
@@ -297,19 +300,22 @@ fn weight_fold(
 
 /// `p(TG)`: non-free instances only, folded in ascending vertex order (the
 /// shared canonical order), each component from the graph's price cache on
-/// the sample tier.
+/// the sample tier or its full-tier memo.
 fn price_fold(
     graph: &JoinGraph,
     free: &FxHashSet<u32>,
     projections: &BTreeMap<u32, AttrSet>,
-    tables: Option<&[Table]>,
+    full: Option<&FullTier>,
 ) -> Result<f64> {
     let mut price = 0.0;
     for (&v, attrs) in projections {
         if free.contains(&v) {
             continue;
         }
-        price += graph.price_for_eval(v, attrs, tables)?;
+        price += match full {
+            None => graph.price_for_eval(v, attrs, None)?,
+            Some(tier) => graph.full_price(tier, v, attrs)?,
+        };
     }
     Ok(price)
 }

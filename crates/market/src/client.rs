@@ -242,6 +242,7 @@ impl WireClientBuilder {
             record: self.record,
             transcript: Vec::new(),
             tokens: BTreeMap::new(),
+            closing: BTreeMap::new(),
         };
         let policy = c.retry.unwrap_or(RetryPolicy {
             attempts: 1,
@@ -293,8 +294,13 @@ pub struct WireClient {
     record: bool,
     transcript: Vec<u8>,
     /// Session id → resumption token for every session opened through
-    /// this client (sorted, so resumption order is deterministic).
+    /// this client and not yet closed (sorted, so resumption order is
+    /// deterministic).
     tokens: BTreeMap<u64, u64>,
+    /// Request id → session of every `CloseSession` sent and not yet
+    /// answered. Its `Ok` reply forgets the session's token; a retry reuses
+    /// the id, so a close whose reply was lost keeps its session resumable.
+    closing: BTreeMap<u64, u64>,
 }
 
 fn protocol_io_error(e: WireError) -> io::Error {
@@ -354,8 +360,12 @@ impl WireClient {
         id
     }
 
-    /// Append `req` to the send buffer under `request_id`.
+    /// Append `req` to the send buffer under `request_id`, remembering which
+    /// session a `CloseSession` closes.
     fn encode(&mut self, request_id: u64, req: &Request) {
+        if let Request::CloseSession { session } = req {
+            self.closing.insert(request_id, *session);
+        }
         wire::encode_request_v(&mut self.send, wire::PROTOCOL_VERSION, request_id, req);
     }
 
@@ -431,7 +441,8 @@ impl WireClient {
 
     /// Decode the complete frame heading the receive buffer, draining it,
     /// and record it when `record` accepts the decoded reply. Learns
-    /// resumption tokens from `OpenSession` replies as they pass through.
+    /// resumption tokens from `OpenSession` replies as they pass through, and
+    /// forgets a session's token once its `CloseSession` is answered `Ok`.
     fn take_reply(
         &mut self,
         h: &wire::FrameHeader,
@@ -446,6 +457,14 @@ impl WireClient {
         self.recv.drain(..frame_len);
         if let Reply::Ok(Response::OpenSession { session, token, .. }) = &reply {
             self.tokens.insert(*session, *token);
+        }
+        // A busy close is retried under the same id; any other answer ends it.
+        if !is_session_busy(&reply) {
+            if let Some(session) = self.closing.remove(&h.request_id) {
+                if reply.ok().is_some() {
+                    self.tokens.remove(&session);
+                }
+            }
         }
         Ok(reply)
     }
@@ -696,5 +715,98 @@ impl WireClient {
     /// Queue arbitrary bytes verbatim — for tests sending garbage.
     pub fn send_raw_bytes(&mut self, bytes: &[u8]) {
         self.send.extend_from_slice(bytes);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::{Server, ServerConfig};
+    use crate::session::{SessionManager, SessionManagerConfig};
+    use crate::{EntropyPricing, Marketplace};
+    use dance_relation::{Table, Value, ValueType};
+    use std::sync::Arc;
+
+    fn server() -> Server {
+        let t = Table::from_rows(
+            "cl_a",
+            &[("cl_k", ValueType::Int)],
+            (0..20).map(|i| vec![Value::Int(i % 4)]).collect(),
+        )
+        .unwrap();
+        let market = Arc::new(Marketplace::new(vec![t], EntropyPricing::default()));
+        let mgr = SessionManager::new(
+            market,
+            SessionManagerConfig {
+                max_sessions: 16,
+                lease_secs: Some(30.0),
+                token_secret: Some((0xC1, 0xC2)),
+            },
+        );
+        Server::start(Arc::new(mgr), ServerConfig::default()).unwrap()
+    }
+
+    fn open(c: &mut WireClient, shopper: u64) -> u64 {
+        let reply = c
+            .call(&Request::OpenSession {
+                shopper,
+                seed: shopper,
+                budget: 10.0,
+            })
+            .unwrap();
+        match reply {
+            Reply::Ok(Response::OpenSession { session, .. }) => session,
+            other => panic!("expected open, got {other:?}"),
+        }
+    }
+
+    /// Kill the transport and let the retry path reconnect, as after a dead
+    /// connection. Returns the control frames the reconnect sent: one
+    /// `Hello`, then one `ResumeSession` per remembered session (plus any
+    /// retries of a busy one).
+    fn force_reconnect(c: &mut WireClient) -> u64 {
+        let before = c.next_ctrl_id;
+        c.broken = true;
+        let reply = c.call(&Request::Stats).unwrap();
+        assert!(reply.ok().is_some(), "expected stats, got {reply:?}");
+        c.next_ctrl_id - before
+    }
+
+    #[test]
+    fn closed_sessions_are_forgotten_and_in_flight_closes_resume() {
+        let server = server();
+        let mut c = WireClient::builder(server.addr())
+            .retry(RetryPolicy {
+                attempts: 40,
+                op_timeout: Duration::from_secs(2),
+                base_backoff: Duration::from_millis(5),
+                max_backoff: Duration::from_millis(50),
+                seed: 3,
+            })
+            .connect()
+            .unwrap();
+        for shopper in 0..6 {
+            let session = open(&mut c, shopper);
+            let closed = c.call(&Request::CloseSession { session }).unwrap();
+            assert!(closed.ok().is_some(), "expected close, got {closed:?}");
+        }
+        assert!(c.tokens.is_empty() && c.closing.is_empty());
+        assert_eq!(force_reconnect(&mut c), 1, "a Hello and no ResumeSession");
+
+        // A close still in the send buffer when the connection dies: the
+        // session stays resumable, and the retried close forgets it.
+        let session = open(&mut c, 9);
+        let close = Request::CloseSession { session };
+        let close_id = c.queue(&close);
+        let resumes = server.stats().resumes;
+        assert!(force_reconnect(&mut c) >= 2, "a Hello and a ResumeSession");
+        assert_eq!(server.stats().resumes, resumes + 1);
+        c.resend(close_id, &close).unwrap();
+        let (id, closed) = c.recv_reply().unwrap();
+        assert_eq!(id, close_id);
+        assert!(closed.ok().is_some(), "expected close, got {closed:?}");
+        assert!(c.tokens.is_empty() && c.closing.is_empty());
+        assert_eq!(force_reconnect(&mut c), 1, "a Hello and no ResumeSession");
+        server.shutdown();
     }
 }

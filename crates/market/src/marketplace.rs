@@ -19,14 +19,17 @@
 //!   ever observes a torn catalog (the invariant `Σ listing versions ==
 //!   snapshot version` holds in every snapshot ever vended).
 //! * Revenue accounting is **striped per account** (one stripe per session,
-//!   plus an anonymous stripe for direct calls): each sale appends to its
-//!   stripe under a short-lived mutex, and [`Marketplace::revenue`] folds
-//!   stripes in account order. Within a stripe sales are recorded in purchase
-//!   order, so per-session subtotals are bit-identical to the session's own
-//!   ledger no matter how sessions interleave, and the total is deterministic
-//!   for any fixed set of per-session histories.
+//!   plus an anonymous stripe for direct calls): each sale adds its price to
+//!   its stripe's running sums under a short-lived mutex, and
+//!   [`Marketplace::revenue`] folds stripes in account order. A stripe is a
+//!   left fold from 0.0 in purchase order, so per-session subtotals are
+//!   bit-identical to the session's own ledger no matter how sessions
+//!   interleave, and the total is deterministic for any fixed set of
+//!   per-session histories. A stripe holds three sums, not a sale list, so
+//!   its size does not grow with the sales it records.
 //! * Sales counters are plain atomics.
 
+use crate::budget::Budget;
 use crate::catalog::{DatasetId, DatasetMeta};
 use crate::pricing::{EntropyPricing, PricingModel};
 use crate::query::ProjectionQuery;
@@ -176,32 +179,45 @@ enum SaleKind {
     Query,
 }
 
-/// One recorded sale on an account stripe.
-#[derive(Debug, Clone, Copy)]
-struct Sale {
-    kind: SaleKind,
-    price: f64,
+/// One account's revenue as running sums, each a left fold from 0.0 over
+/// the account's sales in purchase order: bit-identical to folding the
+/// recorded sale list, without keeping it.
+#[derive(Debug, Default, Clone, Copy)]
+struct Stripe {
+    total: f64,
+    sample: f64,
+    query: f64,
 }
 
-/// Striped revenue ledger: one stripe per account, appended under a
+impl Stripe {
+    fn record(&mut self, kind: SaleKind, price: f64) {
+        self.total += price;
+        match kind {
+            SaleKind::Sample => self.sample += price,
+            SaleKind::Query => self.query += price,
+        }
+    }
+}
+
+/// Striped revenue ledger: one stripe per account, updated under a
 /// short-lived mutex on the (rare, money-moving) write path only.
 #[derive(Debug, Default)]
 struct Accounts {
     /// Direct (non-session) sales.
-    anonymous: Vec<Sale>,
+    anonymous: Stripe,
     /// Per-session stripes, keyed by session id, kept sorted by id.
-    sessions: Vec<(SessionId, Vec<Sale>)>,
+    sessions: Vec<(SessionId, Stripe)>,
 }
 
 impl Accounts {
-    fn stripe(&mut self, account: Option<SessionId>) -> &mut Vec<Sale> {
+    fn stripe(&mut self, account: Option<SessionId>) -> &mut Stripe {
         match account {
             None => &mut self.anonymous,
             Some(id) => {
                 let at = match self.sessions.binary_search_by_key(&id, |(s, _)| *s) {
                     Ok(at) => at,
                     Err(at) => {
-                        self.sessions.insert(at, (id, Vec::new()));
+                        self.sessions.insert(at, (id, Stripe::default()));
                         at
                     }
                 };
@@ -210,17 +226,14 @@ impl Accounts {
         }
     }
 
-    /// Deterministic total: fold each stripe in purchase order, then fold
-    /// stripe subtotals in account order (anonymous first, then session ids
-    /// ascending). Per-stripe order is each buyer's own purchase order, so
-    /// the result is independent of cross-session interleaving.
-    fn revenue(&self) -> f64 {
-        let subtotal = |sales: &[Sale]| sales.iter().fold(0.0, |acc, s| acc + s.price);
+    /// Deterministic fold of one running sum over all stripes in account
+    /// order (anonymous first, then session ids ascending). Each stripe sum
+    /// is its buyer's own purchase-order fold, so the result is independent
+    /// of cross-session interleaving.
+    fn fold(&self, sum: impl Fn(&Stripe) -> f64) -> f64 {
         self.sessions
             .iter()
-            .fold(subtotal(&self.anonymous), |acc, (_, sales)| {
-                acc + subtotal(sales)
-            })
+            .fold(sum(&self.anonymous), |acc, (_, stripe)| acc + sum(stripe))
     }
 }
 
@@ -361,14 +374,41 @@ impl Marketplace {
         Ok((data, price))
     }
 
+    /// Buy a batch of projections all-or-nothing, charged to `budget` and
+    /// the anonymous account.
+    ///
+    /// One snapshot is pinned and each query priced on it once. The budget
+    /// is charged `Σ prices` (a left fold in query order) before anything is
+    /// projected; a refusal leaves budget and revenue untouched. Each sale
+    /// is then recorded at the price already charged, so the wallet and the
+    /// market's revenue agree bit for bit even while sellers publish updates.
+    pub fn purchase(&self, queries: &[ProjectionQuery], budget: &mut Budget) -> Result<Vec<Table>> {
+        let snapshot = self.snapshot();
+        let prices = queries
+            .iter()
+            .map(|q| snapshot.quote(q.dataset, &q.attrs))
+            .collect::<Result<Vec<f64>>>()?;
+        budget
+            .try_spend(prices.iter().fold(0.0, |acc, p| acc + p))
+            .map_err(|e| RelationError::Shape(format!("budget refused purchase: {e}")))?;
+        let data = queries
+            .iter()
+            .map(|q| snapshot.table(q.dataset)?.project(&q.attrs))
+            .collect::<Result<Vec<Table>>>()?;
+        for price in prices {
+            self.record_sale(None, SaleKind::Query, price);
+        }
+        Ok(data)
+    }
+
     /// Record a sale on an account stripe and bump the sold counters. The
-    /// mutex guards only this append — never a catalog read.
+    /// mutex guards only this update — never a catalog read.
     fn record_sale(&self, account: Option<SessionId>, kind: SaleKind, price: f64) {
         self.accounts
             .lock()
             .unwrap()
             .stripe(account)
-            .push(Sale { kind, price });
+            .record(kind, price);
         match kind {
             SaleKind::Sample => self.samples_sold.fetch_add(1, Ordering::Relaxed),
             SaleKind::Query => self.queries_sold.fetch_add(1, Ordering::Relaxed),
@@ -419,38 +459,25 @@ impl Marketplace {
         Ok(new_version)
     }
 
-    /// Total revenue collected so far — deterministic per-account fold; see
-    /// [`Accounts::revenue`].
+    /// Total revenue collected so far: each account's purchase-order fold,
+    /// folded in account order (anonymous first, then session ids
+    /// ascending), so the total is independent of how sessions interleave.
     pub fn revenue(&self) -> f64 {
-        self.accounts.lock().unwrap().revenue()
+        self.accounts.lock().unwrap().fold(|s| s.total)
     }
 
     /// Revenue split `(samples, queries)` — same deterministic fold as
     /// [`Self::revenue`], restricted per sale kind.
     pub fn revenue_split(&self) -> (f64, f64) {
         let accounts = self.accounts.lock().unwrap();
-        let fold = |kind: SaleKind| {
-            let subtotal = |sales: &[Sale]| {
-                sales
-                    .iter()
-                    .filter(|s| s.kind == kind)
-                    .fold(0.0, |acc, s| acc + s.price)
-            };
-            accounts
-                .sessions
-                .iter()
-                .fold(subtotal(&accounts.anonymous), |acc, (_, sales)| {
-                    acc + subtotal(sales)
-                })
-        };
-        (fold(SaleKind::Sample), fold(SaleKind::Query))
+        (accounts.fold(|s| s.sample), accounts.fold(|s| s.query))
     }
 
     /// Revenue attributed to one session's stripe (0 if it never bought).
     pub fn session_revenue(&self, id: SessionId) -> f64 {
         let accounts = self.accounts.lock().unwrap();
         match accounts.sessions.binary_search_by_key(&id, |(s, _)| *s) {
-            Ok(at) => accounts.sessions[at].1.iter().fold(0.0, |a, s| a + s.price),
+            Ok(at) => accounts.sessions[at].1.total,
             Err(_) => 0.0,
         }
     }
@@ -468,6 +495,7 @@ impl Marketplace {
 mod tests {
     use super::*;
     use dance_relation::{Table, Value, ValueType};
+    use proptest::prelude::*;
 
     fn market() -> Marketplace {
         let zip = Table::from_rows(
@@ -536,6 +564,82 @@ mod tests {
         assert_eq!(data.num_rows(), 30);
         assert!(price > 0.0);
         assert_eq!(m.sales(), (0, 1));
+    }
+
+    #[test]
+    fn purchase_charges_once_and_records_what_it_charged() {
+        let m = market();
+        let queries: Vec<ProjectionQuery> = [(0, "zip", "mk_state"), (1, "disease", "mk_cases")]
+            .into_iter()
+            .map(|(id, name, attr)| ProjectionQuery {
+                dataset: DatasetId(id),
+                dataset_name: name.into(),
+                attrs: AttrSet::from_names([attr]),
+            })
+            .collect();
+        let mut wallet = Budget::new(1e6);
+        let bought = m.purchase(&queries, &mut wallet).unwrap();
+        assert_eq!(bought.len(), 2);
+        assert_eq!((bought[0].num_attrs(), bought[1].num_rows()), (1, 30));
+        let quoted = queries
+            .iter()
+            .fold(0.0, |acc, q| acc + m.quote(q.dataset, &q.attrs).unwrap());
+        assert_eq!(wallet.spent().to_bits(), quoted.to_bits());
+        assert_eq!(m.revenue().to_bits(), wallet.spent().to_bits());
+        assert_eq!(m.sales(), (0, 2));
+
+        // All-or-nothing: a refused purchase charges nothing and sells nothing.
+        let mut tiny = Budget::new(1e-9);
+        let err = m.purchase(&queries, &mut tiny).unwrap_err();
+        assert!(err.to_string().contains("budget refused purchase"), "{err}");
+        assert_eq!(tiny.spent(), 0.0);
+        assert_eq!(m.revenue().to_bits(), quoted.to_bits());
+        assert_eq!(m.sales(), (0, 2));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Running-sum stripes answer `revenue`, `revenue_split` and
+        /// `session_revenue` bit-identically to folding the recorded sale
+        /// list, for any interleaving of anonymous and session sales.
+        #[test]
+        fn stripes_fold_like_the_sale_list(
+            sales in prop::collection::vec((0u64..4, 0u64..2, 0.0f64..50.0), 0..48),
+        ) {
+            let m = market();
+            // Account 0 is anonymous; 1..4 are sessions (opened out of order).
+            let account = |a: u64| (a > 0).then(|| SessionId(4 - a));
+            let kind = |k: u64| if k == 0 { SaleKind::Sample } else { SaleKind::Query };
+            for &(a, k, price) in &sales {
+                m.record_sale(account(a), kind(k), price);
+            }
+            // Reference: the fold over each account's sale list, accounts in
+            // order (anonymous, then session ids ascending).
+            let fold = |a: u64, keep: &dyn Fn(u64) -> bool| {
+                sales
+                    .iter()
+                    .filter(|(sa, k, _)| *sa == a && keep(*k))
+                    .fold(0.0, |acc, (_, _, p)| acc + p)
+            };
+            let total = |keep: &dyn Fn(u64) -> bool| {
+                let opened: Vec<u64> = (1..4u64)
+                    .rev()
+                    .filter(|a| sales.iter().any(|(sa, _, _)| sa == a))
+                    .collect();
+                opened.iter().fold(fold(0, keep), |acc, &a| acc + fold(a, keep))
+            };
+            prop_assert_eq!(m.revenue().to_bits(), total(&|_| true).to_bits());
+            let (sample, query) = m.revenue_split();
+            prop_assert_eq!(sample.to_bits(), total(&|k| k == 0).to_bits());
+            prop_assert_eq!(query.to_bits(), total(&|k| k == 1).to_bits());
+            for a in 1..4u64 {
+                prop_assert_eq!(
+                    m.session_revenue(SessionId(4 - a)).to_bits(),
+                    fold(a, &|_| true).to_bits()
+                );
+            }
+        }
     }
 
     #[test]
