@@ -5,8 +5,8 @@
 //! Beyond the single-kernel entries, the groups measure every layer's
 //! speedup rather than assuming it:
 //!
-//! * `join_pipeline`: the symbol-native join pipeline against the per-hop
-//!   materializing chain;
+//! * `join_pipeline`: the symbol-native late-materialization tree join on
+//!   2- and 4-hop string-keyed chains, shared vs private dictionaries;
 //! * `seq_vs_par`: the scoped-thread executor at 1/2/4/8 workers on a larger
 //!   TPC-H instance (group-id encoding, entropy, JI and the full
 //!   `JoinGraph::build`);
@@ -82,19 +82,16 @@ fn metas_of(ts: &[Table]) -> Vec<DatasetMeta> {
         .collect()
 }
 
-/// The symbol-native late-materialization join pipeline vs the per-hop
-/// materializing chain, on string-keyed multi-hop paths. `per_hop/…`
-/// gathers a full intermediate table at every hop (`join_tree_bounded_tables`); `late/…` composes
-/// selection vectors and materializes once (`join_tree_bounded`). Both
-/// produce identical tables (pinned by `tests/join_pipeline.rs`); the
-/// shared-dict entries probe registry-shared `u32` symbols verbatim, the
-/// private-dict entries pay one per-distinct-symbol translation per hop.
+/// The symbol-native late-materialization join pipeline on string-keyed
+/// multi-hop paths: `late/…` composes selection vectors and materializes
+/// once (`join_tree_bounded`). The shared-dict entries probe registry-shared
+/// `u32` symbols verbatim, the private-dict entries pay one
+/// per-distinct-symbol translation per hop.
 fn bench_join_pipeline(c: &mut Criterion) {
-    use dance_sampling::{join_tree_bounded, join_tree_bounded_tables};
+    use dance_sampling::join_tree_bounded;
 
     // A (hops+1)-table chain, 1:1 on high-cardinality string keys, with two
-    // Int payload columns per table so the per-hop gather cost is visible
-    // (the accumulated width grows with every hop).
+    // Int payload columns per table (the output width grows with every hop).
     let n = 20_000usize;
     let chain = |reg: Option<&InternerRegistry>, hops: usize| -> Vec<Table> {
         (0..=hops)
@@ -147,11 +144,6 @@ fn bench_join_pipeline(c: &mut Criterion) {
         ] {
             let refs: Vec<&Table> = tables.iter().collect();
             let es = edges(hops);
-            g.bench_with_input(
-                BenchmarkId::new("per_hop", format!("{hops}hop_{label}")),
-                &refs,
-                |b, refs| b.iter(|| join_tree_bounded_tables(black_box(refs), &es, None).unwrap()),
-            );
             g.bench_with_input(
                 BenchmarkId::new("late", format!("{hops}hop_{label}")),
                 &refs,

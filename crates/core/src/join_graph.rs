@@ -34,7 +34,7 @@
 //! ## Interned symbols
 //!
 //! Histograms are [`SymCounts`]: keys are interned-symbol word vectors, not
-//! materialized `GroupKey` values. Samples of registry-interned catalogs
+//! materialized value tuples. Samples of registry-interned catalogs
 //! (`dance_relation::InternerRegistry`) share per-attribute dictionaries, so
 //! the JI folds compare dictionary codes verbatim; catalogs with private
 //! dictionaries degrade to a per-distinct-value symbol translation inside
@@ -47,6 +47,7 @@ use crate::mcmc::{EvalKey, TargetGraph};
 use dance_info::ji::{ji_from_sym_counts, PairPartials};
 use dance_market::{DatasetMeta, EntropyPricing, PricingModel};
 use dance_relation::sel::pair_sel_with;
+use dance_relation::sym::MAX_SYM_KEY_ATTRS;
 use dance_relation::{
     sym_counts_with, AttrSet, Executor, FxHashMap, PairSel, RelationError, Result, SymCounts, Table,
 };
@@ -75,7 +76,8 @@ pub const DEFAULT_EVAL_MEMO_CAP: usize = 512;
 pub struct JoinGraphConfig {
     /// Enumerate every non-empty subset of a shared attribute set as a join
     /// candidate while the shared set has at most this many attributes;
-    /// larger shared sets fall back to singletons + the full set.
+    /// larger shared sets fall back to singletons + the full set. Candidates
+    /// wider than a symbol key ([`MAX_SYM_KEY_ATTRS`]) are skipped.
     pub max_enum_join_attrs: usize,
     /// Executor the build/refresh fan-outs run on (defaults to
     /// [`Executor::global`], i.e. `DANCE_THREADS`). Stored in the graph so
@@ -706,13 +708,16 @@ impl JoinGraph {
 
 /// Candidate join attribute sets for a shared set (see [`JoinGraphConfig`]).
 fn candidate_sets(common: &AttrSet, max_enum: usize) -> Vec<AttrSet> {
-    if common.len() <= max_enum {
+    let mut v = if common.len() <= max_enum {
         common.nonempty_subsets()
     } else {
         let mut v: Vec<AttrSet> = common.iter().map(AttrSet::singleton).collect();
         v.push(common.clone());
         v
-    }
+    };
+    // Symbol histograms cannot key wider sets; JI would fail the whole build.
+    v.retain(|c| c.len() <= MAX_SYM_KEY_ATTRS);
+    v
 }
 
 #[cfg(test)]
@@ -1287,5 +1292,47 @@ mod tests {
         assert_eq!(capped.len(), 7); // 6 singletons + full set
         let small = AttrSet::from_names(["cs_1", "cs_2"]);
         assert_eq!(candidate_sets(&small, 4).len(), 3);
+    }
+
+    /// Two listings sharing more attributes than a symbol key holds still
+    /// build: the over-wide full set is no candidate, the singletons are.
+    #[test]
+    fn shared_sets_wider_than_a_symbol_key_still_build() {
+        let shared: Vec<String> = (0..=MAX_SYM_KEY_ATTRS)
+            .map(|i| format!("wide_{i}"))
+            .collect();
+        let make = |name: &str, own: &str| {
+            let mut attrs: Vec<(&str, ValueType)> = shared
+                .iter()
+                .map(|a| (a.as_str(), ValueType::Int))
+                .collect();
+            attrs.push((own, ValueType::Int));
+            let rows = (0..6)
+                .map(|r| {
+                    (0..attrs.len())
+                        .map(|c| Value::Int((r * c % 3) as i64))
+                        .collect()
+                })
+                .collect();
+            inst(name, &attrs, rows)
+        };
+        let (mut m1, t1) = make("W1", "wide_own1");
+        let (mut m2, t2) = make("W2", "wide_own2");
+        m1.id = DatasetId(0);
+        m2.id = DatasetId(1);
+        let common = AttrSet::from_names(shared.iter().map(String::as_str));
+        assert_eq!(common.len(), MAX_SYM_KEY_ATTRS + 1);
+        assert!(dance_info::join_informativeness(&t1, &t2, &common).is_err());
+
+        let g = JoinGraph::build(
+            vec![m1, m2],
+            vec![t1, t2],
+            EntropyPricing::default(),
+            &JoinGraphConfig::default(),
+        )
+        .unwrap();
+        let cands = g.candidate_join_sets(0, 1);
+        assert_eq!(cands.len(), MAX_SYM_KEY_ATTRS + 1);
+        assert!(cands.iter().all(|c| c.len() == 1));
     }
 }

@@ -233,7 +233,7 @@ proptest! {
                 for cand in g.candidate_join_sets(a.a, a.b) {
                     let w = g.weight(a.a, a.b, cand).unwrap();
                     prop_assert_eq!(w.to_bits(), plain.weight(a.a, a.b, cand).unwrap().to_bits());
-                    let keyed = dance_info::join_informativeness_keyed(
+                    let keyed = dance_oracle::join_informativeness(
                         &samples[a.a as usize], &samples[a.b as usize], cand).unwrap();
                     prop_assert_eq!(w.to_bits(), keyed.to_bits(), "{} vs keyed {}", w, keyed);
                 }

@@ -262,7 +262,7 @@ fn generate_column(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dance_relation::value_counts;
+    use dance_relation::group_ids;
 
     fn specs() -> Vec<TableSpec> {
         vec![
@@ -382,9 +382,11 @@ mod tests {
     #[test]
     fn zipf_skew_shapes_fanout() {
         let tables = generate(&specs(), 11).unwrap();
-        let counts = value_counts(&tables[1], &AttrSet::from_names(["sp_key"])).unwrap();
-        let max = counts.values().copied().max().unwrap();
-        let min = counts.values().copied().min().unwrap();
+        let counts = group_ids(&tables[1], &AttrSet::from_names(["sp_key"]))
+            .unwrap()
+            .counts();
+        let max = counts.iter().copied().max().unwrap();
+        let min = counts.iter().copied().min().unwrap();
         assert!(max > min, "skewed FK should have uneven fan-out");
     }
 }

@@ -18,31 +18,28 @@
 //! * `v` only right    → `n_R(v)` pairs `(NULL, v)`.
 //!
 //! Keys containing NULL never match (SQL semantics) and land in the unmatched
-//! branches. [`ji_from_counts`] / [`ji_from_sym_counts`] work straight off two
-//! key histograms — the same code path serves exact computation and sampled
-//! estimation (§3.1).
+//! branches. [`ji_from_sym_counts`] works straight off two key histograms —
+//! the same code path serves exact computation and sampled estimation
+//! (§3.1).
 //!
 //! Matching happens **across two tables**, whose dense group ids are not
-//! comparable — historically the one consumer that forced materialized
-//! [`GroupKey`] values. The hot path now matches on **interned symbols**
-//! instead ([`dance_relation::sym`]): registry-interned tables compare
-//! dictionary codes verbatim, tables with private dictionaries fall back to a
+//! comparable, so the histograms are keyed on **interned symbols**
+//! ([`dance_relation::sym`]): registry-interned tables compare dictionary
+//! codes verbatim, tables with private dictionaries fall back to a
 //! per-distinct-value symbol translation, and no boxed key is materialized
-//! either way. The `GroupKey`-keyed [`ji_from_counts`] and
-//! [`join_informativeness_keyed`] survive as the pinning reference (property
-//! tests assert bit-exact agreement) and for §3 estimator call sites that
-//! already hold value histograms.
+//! either way.
 //!
-//! Both folds accumulate the pair-category buckets and **sort them before
+//! The folds accumulate the pair-category buckets and **sort them before
 //! summing**, so the result is one deterministic float fold regardless of
-//! hash-map iteration order — which is what makes symbol-path and keyed-path
-//! JI bit-identical.
+//! hash-map iteration order. The incremental [`PairPartials`] visits the same
+//! sorted multiset, so it is bit-identical to the two-histogram fold, which
+//! tests pin against a value-keyed reference bit for bit.
 
 use std::collections::{btree_map, BTreeMap};
 
 use dance_relation::{
-    sym_counts_with, sym_joinable, AttrSet, Executor, FxHashMap, FxHashSet, GroupKey, Result,
-    SymCounts, SymKey, SymMatch, Table, Value,
+    sym_counts_with, sym_joinable, AttrSet, Executor, FxHashMap, FxHashSet, Result, SymCounts,
+    SymKey, SymMatch, Table,
 };
 
 /// Degenerate-distribution conventions for JI (documented edge cases).
@@ -125,29 +122,11 @@ impl PairBuckets {
     }
 }
 
-/// JI from per-table key histograms (counts of each distinct `J`-key) —
-/// the materialized-value reference path.
-pub fn ji_from_counts(left: &FxHashMap<GroupKey, u64>, right: &FxHashMap<GroupKey, u64>) -> f64 {
-    let joinable = |k: &GroupKey| !k.iter().any(Value::is_null);
-    let mut b = PairBuckets::default();
-    for (k, &nl) in left {
-        match (joinable(k)).then(|| right.get(k)).flatten() {
-            Some(&nr) => b.matched(nl, nr),
-            None => b.left_only(nl),
-        }
-    }
-    for (k, &nr) in right {
-        if !(joinable(k) && left.contains_key(k)) {
-            b.right_only(nr);
-        }
-    }
-    b.finish()
-}
-
-/// JI from two symbol histograms — the interned hot path (no [`GroupKey`]
+/// JI from two symbol histograms — the interned hot path (no boxed key
 /// anywhere). Registry-shared dictionaries compare codes verbatim; private
 /// dictionaries translate each distinct symbol once; mismatched types mean
-/// nothing matches, mirroring [`Value`] equality across variants.
+/// nothing matches, mirroring [`dance_relation::Value`] equality across
+/// variants.
 pub fn ji_from_sym_counts(left: &SymCounts, right: &SymCounts) -> f64 {
     let mut b = PairBuckets::default();
     let mut l2r = left.match_to(right);
@@ -455,25 +434,13 @@ fn entropy_u128(counts: &[u128], n: u128) -> f64 {
     h.max(0.0)
 }
 
-/// Shared input validation for both JI entry points, so the keyed reference
-/// can never silently diverge from the hot path.
-fn check_join_attrs(j: &AttrSet) -> Result<()> {
-    if j.is_empty() {
-        return Err(dance_relation::RelationError::InvalidJoin(
-            "join informativeness needs a non-empty join attribute set".into(),
-        ));
-    }
-    Ok(())
-}
-
 /// `JI(D, D')` on join attributes `j` (Definition 2.4), on the global
 /// executor. Runs on interned symbols — no key materialization.
 ///
-/// Bound inherited from the symbol-key layout: at most 63 join attributes
-/// (the NULL mask is one `u64` word); larger sets return an error. Every
-/// in-tree caller enumerates candidate sets far below that (the join graph
-/// caps enumeration at `max_enum_join_attrs`, default 4); wider keys need
-/// [`join_informativeness_keyed`].
+/// Bound inherited from the symbol-key layout: at most
+/// [`dance_relation::sym::MAX_SYM_KEY_ATTRS`] (63) join attributes, since the
+/// NULL mask is one `u64` word; wider sets return an error. The join graph
+/// never asks for more: it skips wider candidate join sets.
 pub fn join_informativeness(d1: &Table, d2: &Table, j: &AttrSet) -> Result<f64> {
     join_informativeness_with(&Executor::global(), d1, d2, j)
 }
@@ -487,22 +454,14 @@ pub fn join_informativeness_with(
     d2: &Table,
     j: &AttrSet,
 ) -> Result<f64> {
-    check_join_attrs(j)?;
+    if j.is_empty() {
+        return Err(dance_relation::RelationError::InvalidJoin(
+            "join informativeness needs a non-empty join attribute set".into(),
+        ));
+    }
     let lc = sym_counts_with(exec, d1, j)?;
     let rc = sym_counts_with(exec, d2, j)?;
     Ok(ji_from_sym_counts(&lc, &rc))
-}
-
-/// The materialized-`GroupKey` reference implementation of
-/// [`join_informativeness`]: value histograms + [`ji_from_counts`]. Kept for
-/// property-test pinning and join attribute sets wider than the symbol
-/// layout's 63-attribute bound; produces bit-identical results to the symbol
-/// path.
-pub fn join_informativeness_keyed(d1: &Table, d2: &Table, j: &AttrSet) -> Result<f64> {
-    check_join_attrs(j)?;
-    let lc = dance_relation::value_counts(d1, j)?;
-    let rc = dance_relation::value_counts(d2, j)?;
-    Ok(ji_from_counts(&lc, &rc))
 }
 
 #[cfg(test)]

@@ -31,7 +31,4 @@ pub use entropy::{
     mi_from_sym_joint, mutual_information, mutual_information_with, shannon_entropy,
     shannon_entropy_with,
 };
-pub use ji::{
-    ji_from_counts, ji_from_sym_counts, join_informativeness, join_informativeness_keyed,
-    join_informativeness_with, PairPartials,
-};
+pub use ji::{ji_from_sym_counts, join_informativeness, join_informativeness_with, PairPartials};

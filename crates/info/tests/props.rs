@@ -1,11 +1,9 @@
 //! Property tests of the information-theoretic measures.
 
 use dance_info::{
-    conditional_entropy, entropy_from_counts, ji_from_counts, join_informativeness,
-    join_informativeness_keyed, join_informativeness_with, mutual_information,
-    mutual_information_with, shannon_entropy, shannon_entropy_with,
+    conditional_entropy, entropy_from_counts, join_informativeness, join_informativeness_with,
+    mutual_information, mutual_information_with, shannon_entropy, shannon_entropy_with,
 };
-use dance_relation::histogram::legacy;
 use dance_relation::{AttrSet, Executor, InternerRegistry, Table, Value, ValueType};
 use proptest::prelude::*;
 
@@ -30,7 +28,7 @@ fn arb_table() -> impl Strategy<Value = Table> {
 }
 
 /// Random tables with string/float keys and NULLs, to pin the dense kernels
-/// against the legacy path on every encoding.
+/// against the per-row reference on every encoding.
 fn arb_typed_table() -> impl Strategy<Value = Table> {
     (1usize..8, 1usize..60, 0u64..500).prop_map(|(k, n, seed)| {
         let rows: Vec<Vec<Value>> = (0..n)
@@ -56,9 +54,9 @@ fn arb_typed_table() -> impl Strategy<Value = Table> {
     })
 }
 
-/// H over the legacy per-row `GroupKey` histogram (reference implementation).
-fn legacy_entropy(t: &Table, attrs: &AttrSet) -> f64 {
-    let counts = legacy::value_counts(t, attrs).unwrap();
+/// H over the per-row value histogram of the reference oracle.
+fn reference_entropy(t: &Table, attrs: &AttrSet) -> f64 {
+    let counts = dance_oracle::value_counts(t, attrs).unwrap();
     entropy_from_counts(counts.values().copied(), t.num_rows() as u64)
 }
 
@@ -95,7 +93,7 @@ proptest! {
         }
     }
 
-    /// Dense-kernel entropies equal the legacy `GroupKey` path exactly:
+    /// Dense-kernel entropies equal the per-row reference exactly:
     /// `H(X)`, `H(Y)`, joint `H(X,Y)` and the derived `I(X;Y)`.
     #[test]
     fn dense_entropy_matches_legacy(t in arb_typed_table()) {
@@ -104,30 +102,17 @@ proptest! {
         let xy = x.union(&y);
         for attrs in [&x, &y, &xy] {
             let dense = shannon_entropy(&t, attrs).unwrap();
-            let slow = legacy_entropy(&t, attrs);
+            let slow = reference_entropy(&t, attrs);
             prop_assert!((dense - slow).abs() < 1e-12, "H({}) {} vs {}", attrs, dense, slow);
         }
         let mi_dense = mutual_information(&t, &x, &y).unwrap();
         let mi_slow =
-            (legacy_entropy(&t, &x) + legacy_entropy(&t, &y) - legacy_entropy(&t, &xy)).max(0.0);
+            (reference_entropy(&t, &x) + reference_entropy(&t, &y) - reference_entropy(&t, &xy)).max(0.0);
         prop_assert!((mi_dense - mi_slow).abs() < 1e-12, "MI {} vs {}", mi_dense, mi_slow);
     }
 
-    /// JI computed from dense-kernel histograms equals JI from legacy
-    /// per-row histograms on random table pairs.
-    #[test]
-    fn dense_ji_matches_legacy(a in arb_typed_table(), b in arb_typed_table()) {
-        let j = AttrSet::from_names(["pt_x"]);
-        let dense = join_informativeness(&a, &b, &j).unwrap();
-        let slow = ji_from_counts(
-            &legacy::value_counts(&a, &j).unwrap(),
-            &legacy::value_counts(&b, &j).unwrap(),
-        );
-        prop_assert!((dense - slow).abs() < 1e-12, "JI {} vs {}", dense, slow);
-    }
-
-    /// Interned-symbol JI is **bit-exact** against the materialized-GroupKey
-    /// reference on randomized typed/NULL table pairs — on the direct path
+    /// Interned-symbol JI is **bit-exact** against the value-keyed reference
+    /// on randomized typed/NULL table pairs — on the direct path
     /// (both sides share registry dictionaries), the translator path (one or
     /// both sides keep private dictionaries) and at thread counts {1, 4}
     /// (the CI `DANCE_THREADS` matrix).
@@ -141,7 +126,7 @@ proptest! {
         }
         let (ia, ib) = (a.intern_into(&reg), b.intern_into(&reg));
         let j = AttrSet::from_names(["pt_x"]);
-        let keyed = join_informativeness_keyed(&a, &b, &j).unwrap();
+        let keyed = dance_oracle::join_informativeness(&a, &b, &j).unwrap();
         for (l, r) in [(&ia, &ib), (&ia, &b), (&a, &ib), (&a, &b)] {
             let sym = join_informativeness(l, r, &j).unwrap();
             prop_assert_eq!(sym.to_bits(), keyed.to_bits(),

@@ -23,9 +23,9 @@
 //! [`discover`] runs the levelwise search behind
 //! [`crate::tane::discover_afds`] and [`crate::joint::instance_set_quality`];
 //! [`joint_mask`] backs [`crate::fd::correct_rows`] and
-//! [`crate::joint::joint_correct_rows`]. Stripped partitions
-//! ([`crate::partition::Partition`]) stay the Definition 2.1 object the
-//! property tests pin this kernel against.
+//! [`crate::joint::joint_correct_rows`]. The property tests pin this kernel
+//! against a search written on the explicit stripped partitions of
+//! Definition 2.1.
 
 use crate::fd::Fd;
 use crate::tane::{DiscoveredFd, TaneConfig};

@@ -2,22 +2,23 @@
 //!
 //! The production quality kernel (AFD discovery, correct-row masks and the
 //! Definition 2.3 quality) is pinned bit for bit against [`reference`]: the
-//! same levelwise search and masks written directly on stripped
+//! same levelwise search and masks written directly on the oracle's stripped
 //! [`Partition`]s, products and per-class hash maps.
 
+use dance_oracle::Partition;
 use dance_quality::tane::DiscoveredFd;
 use dance_quality::{
     correct_rows, discover_afds, instance_set_quality, joint_correct_rows, quality, repair, Fd,
-    Partition, TaneConfig,
+    TaneConfig,
 };
 use dance_relation::hash::stable_hash64;
-use dance_relation::{AttrSet, Executor, InternerRegistry, Table, Value, ValueType};
+use dance_relation::{AttrSet, InternerRegistry, Table, Value, ValueType};
 use proptest::prelude::*;
 
 /// The partition-based implementation of Definitions 2.2/2.3 and TANE, kept
 /// as the executable reference for the dense-id kernel.
 mod reference {
-    use dance_quality::partition::{Partition, SINGLETON};
+    use dance_oracle::{Partition, SINGLETON};
     use dance_quality::tane::{DiscoveredFd, TaneConfig};
     use dance_quality::Fd;
     use dance_relation::{AttrId, AttrSet, FxHashMap, FxHashSet, Table};
@@ -295,37 +296,13 @@ proptest! {
         prop_assert_eq!(twice.num_rows(), cleaned.num_rows());
     }
 
-    /// Partitions built on a chunked parallel executor are identical to the
-    /// sequential ones at thread counts {1, 2, 3, 8}, and the dense id-pair
-    /// product equals the directly-computed partition of the attribute union.
-    #[test]
-    fn parallel_partitions_bit_identical(t in arb_table()) {
-        let seq = Executor::sequential();
-        let x = AttrSet::from_names(["pq_x"]);
-        let y = AttrSet::from_names(["pq_y"]);
-        let xy = AttrSet::from_names(["pq_x", "pq_y"]);
-        let px_ref = Partition::by_with(&seq, &t, &x).unwrap();
-        let pxy_ref = Partition::by_with(&seq, &t, &xy).unwrap();
-        for threads in [1usize, 2, 3, 8] {
-            let exec = Executor::with_grain(threads, 1);
-            let px = Partition::by_with(&exec, &t, &x).unwrap();
-            prop_assert_eq!(px.classes(), px_ref.classes(), "π_X diverged at {} threads", threads);
-            let pxy = Partition::by_with(&exec, &t, &xy).unwrap();
-            prop_assert_eq!(pxy.classes(), pxy_ref.classes());
-            // Product (dense fold) of parallel-built operands still equals
-            // the direct partition of the union.
-            let py = Partition::by_with(&exec, &t, &y).unwrap();
-            prop_assert_eq!(px.product(&py).classes(), pxy_ref.classes());
-        }
-    }
-
     /// The correct-row mask keeps, per X-class, exactly one Y-sub-class.
     #[test]
     fn correct_rows_pick_one_subclass_per_class(t in arb_table()) {
         prop_assume!(t.num_rows() > 0);
         let fd = Fd::new(["pq_x"], "pq_y");
         let mask = correct_rows(&t, &fd).unwrap();
-        let groups = dance_relation::group_rows(&t, &AttrSet::from_names(["pq_x"])).unwrap();
+        let groups = dance_oracle::group_rows(&t, &AttrSet::from_names(["pq_x"])).unwrap();
         for rows in groups.values() {
             let kept: Vec<u32> = rows.iter().copied().filter(|&r| mask[r as usize]).collect();
             prop_assert!(!kept.is_empty(), "each class keeps at least one row");
@@ -337,30 +314,6 @@ proptest! {
                     y0.clone()
                 );
             }
-        }
-    }
-
-    /// The dense-kernel partition equals the partition built from the legacy
-    /// per-row `GroupKey` grouping: identical stripped classes, and mutual
-    /// refinement on every attribute set.
-    #[test]
-    fn dense_partition_matches_legacy(t in arb_table()) {
-        for attrs in [
-            AttrSet::from_names(["pq_x"]),
-            AttrSet::from_names(["pq_y"]),
-            AttrSet::from_names(["pq_x", "pq_y"]),
-        ] {
-            let dense = Partition::by(&t, &attrs).unwrap();
-            let legacy_classes: Vec<Vec<u32>> =
-                dance_relation::histogram::legacy::group_rows(&t, &attrs)
-                    .unwrap()
-                    .into_values()
-                    .collect();
-            let slow = Partition::from_classes(legacy_classes, t.num_rows());
-            prop_assert_eq!(dense.classes(), slow.classes(), "classes diverged on {}", attrs);
-            prop_assert!(dense.refines(&slow) && slow.refines(&dense));
-            prop_assert_eq!(dense.num_classes(), slow.num_classes());
-            prop_assert_eq!(dense.support(), slow.support());
         }
     }
 

@@ -2,9 +2,9 @@
 //!
 //! Entropy (Def 2.5), join informativeness (Def 2.4), join-quality partitions
 //! (Defs 2.1–2.3) and the §3 sampling estimators all reduce to "count rows per
-//! distinct key of an attribute set". The legacy path materialized a boxed
-//! [`crate::GroupKey`] per row and hashed it — an allocation plus a
-//! string-bytes hash per row. This module instead assigns every row a compact
+//! distinct key of an attribute set". Materializing a boxed key per row and
+//! hashing it costs an allocation plus a string-bytes hash per row. This
+//! module instead assigns every row a compact
 //! **group id** in `0..num_groups` with one cheap pass per column, exploiting
 //! the columnar layout:
 //!
@@ -13,17 +13,17 @@
 //!   byte.
 //! * `Int` / `Float` columns hash fixed-width words (floats by the same
 //!   canonical bit pattern [`crate::Value`] uses for `Eq`/`Hash`, so −0.0/+0.0
-//!   and all NaNs group exactly as the legacy path grouped them).
+//!   and all NaNs group exactly as equal [`crate::Value`]s do).
 //! * Multi-attribute keys fold column codes pairwise: `(id, code)` pairs pack
 //!   into a `u64` and are re-densified, so intermediate ids never grow past
 //!   `u32`.
 //!
 //! Group ids are assigned in order of first occurrence, which makes the
 //! encoding deterministic and gives every group a natural representative row
-//! (its first row). Consumers that only need counts ([`Grouping::counts`])
-//! never touch a `Value`; consumers that need actual key values for
-//! cross-table matching (JI) materialize one key per *group* instead of one
-//! per row ([`Grouping::materialize_keys`]).
+//! (its first row, [`Grouping::representatives`]). Consumers that only need
+//! counts ([`Grouping::counts`]) never touch a `Value`; cross-table matching
+//! (JI) reads one symbol key per *group* off the representative rows
+//! ([`crate::sym`]).
 //!
 //! ## Parallel execution
 //!
@@ -131,32 +131,6 @@ impl Grouping {
             }
         }
         reps
-    }
-
-    /// Row indices per group (ascending within each group), indexed by group id.
-    pub fn rows_by_group(&self) -> Vec<Vec<u32>> {
-        let counts = self.counts();
-        let mut rows: Vec<Vec<u32>> = counts
-            .iter()
-            .map(|&c| Vec::with_capacity(c as usize))
-            .collect();
-        for (r, &g) in self.ids.iter().enumerate() {
-            rows[g as usize].push(r as u32);
-        }
-        rows
-    }
-
-    /// Materialize one [`crate::GroupKey`] per group (the representative row's
-    /// values over `attrs`) — the bridge to consumers that need actual values,
-    /// e.g. cross-table JI matching. `t`/`attrs` must be the inputs this
-    /// grouping was built from.
-    pub fn materialize_keys(&self, t: &Table, attrs: &AttrSet) -> Result<Vec<Box<[Value]>>> {
-        let cols = t.attr_indices(attrs)?;
-        Ok(self
-            .representatives()
-            .into_iter()
-            .map(|r| t.key(r as usize, &cols))
-            .collect())
     }
 
     /// Joint grouping over `(self, other)` id pairs (both must cover the same
@@ -505,7 +479,7 @@ pub fn ensure_dense(codes: &[u32]) -> (std::borrow::Cow<'_, [u32]>, u32) {
 
 /// Assign every row of `t` a dense group id over `attrs` (one pass per
 /// attribute column), on the global executor. An empty `attrs` puts all rows
-/// in a single group, matching the legacy histogram's empty-key behaviour.
+/// in a single group (every row has the same, empty, key).
 pub fn group_ids(t: &Table, attrs: &AttrSet) -> Result<Grouping> {
     group_ids_with(&Executor::global(), t, attrs)
 }
@@ -590,12 +564,7 @@ mod tests {
         // (u,1), (u,1), (v,2), (NULL,NULL), (u,1), (NULL,2).
         assert_eq!(g.num_groups(), 4);
         assert_eq!(g.counts(), vec![3, 1, 1, 1]);
-        let keys = g
-            .materialize_keys(&table, &AttrSet::from_names(["grp_s", "grp_i"]))
-            .unwrap();
-        assert_eq!(keys.len(), 4);
-        assert_eq!(&*keys[0], &[Value::str("u"), Value::Int(1)]);
-        assert_eq!(&*keys[3], &[Value::Null, Value::Int(2)]);
+        assert_eq!(g.representatives(), vec![0, 2, 3, 5]);
     }
 
     #[test]
@@ -609,20 +578,6 @@ mod tests {
         let g = group_ids(&empty, &AttrSet::from_names(["grp_e"])).unwrap();
         assert_eq!(g.num_groups(), 0);
         assert!(g.is_empty());
-    }
-
-    #[test]
-    fn rows_by_group_partitions_rows() {
-        let g = group_ids(&t(), &AttrSet::from_names(["grp_i"])).unwrap();
-        let rows = g.rows_by_group();
-        let total: usize = rows.iter().map(Vec::len).sum();
-        assert_eq!(total, 6);
-        for (gid, rs) in rows.iter().enumerate() {
-            for &r in rs {
-                assert_eq!(g.ids()[r as usize] as usize, gid);
-            }
-            assert!(rs.windows(2).all(|w| w[0] < w[1]));
-        }
     }
 
     #[test]

@@ -18,15 +18,12 @@
 //! symbols — with a per-distinct-symbol translator when the two sides hold
 //! private dictionaries), and the join first produces a
 //! [`crate::sel::JoinSel`] selection vector, materialized by one gather per
-//! output column. No boxed `Value` key exists anywhere in this module; the
-//! retired value-keyed implementation survives as
-//! [`crate::join_legacy::hash_join_keyed`] for property-test pinning.
+//! output column. No boxed `Value` key exists anywhere in this module.
 //!
-//! [`join_tree`] chains pairwise joins along a join tree (the paper's target
-//! graphs are trees) and exposes a hook that the sampling crate uses to bound
-//! intermediate results (correlated re-sampling, §3.2). It materializes a
-//! table per hop — the pinning reference for the late-materialization tree
-//! join [`crate::sel::join_tree_late`], which production paths use.
+//! Multi-table joins along a join tree (the paper's target graphs are trees)
+//! run on the late-materialization tree join [`crate::sel::join_tree_late`];
+//! [`JoinEdge`] describes one tree edge and `tree_join_plan` fixes the
+//! order in which tables are joined.
 
 use crate::error::{RelationError, Result};
 use crate::schema::AttrSet;
@@ -62,15 +59,11 @@ pub struct JoinEdge {
     pub on: AttrSet,
 }
 
-/// The shared tree-walk scaffold: validate `edges` against `num_tables` and
-/// fix the exact consumption order — the root table (the first edge's `a`)
-/// plus a `(edge index, newly joined table)` sequence where every step joins
-/// a new table onto the accumulated result.
-///
-/// Both [`join_tree`] (per-hop materializing) and
-/// [`crate::sel::join_tree_late_with`] (late materialization) consume this
-/// one plan, so the two pipelines join tables in lock-step *by construction*
-/// — the bit-exact pinning contract between them depends on it.
+/// The tree-walk plan: validate `edges` against `num_tables` and fix the
+/// exact consumption order — the root table (the first edge's `a`) plus a
+/// `(edge index, newly joined table)` sequence where every step joins a new
+/// table onto the accumulated result: the first unused edge with exactly one
+/// joined endpoint.
 pub(crate) fn tree_join_plan(
     num_tables: usize,
     edges: &[JoinEdge],
@@ -106,35 +99,6 @@ pub(crate) fn tree_join_plan(
         ));
     }
     Ok((start, plan))
-}
-
-/// Join `tables` along tree `edges`, calling `intermediate` after each step.
-///
-/// The hook receives every intermediate join result and may replace it (e.g.
-/// with a sample — §3.2's correlated re-sampling). Edges must connect all
-/// tables; they are consumed in the order [`tree_join_plan`] fixes, always
-/// joining a new table onto the accumulated result.
-pub fn join_tree(
-    tables: &[&Table],
-    edges: &[JoinEdge],
-    mut intermediate: impl FnMut(Table) -> Table,
-) -> Result<Table> {
-    if tables.is_empty() {
-        return Err(RelationError::InvalidJoin("no tables to join".into()));
-    }
-    if tables.len() == 1 {
-        return Ok((*tables[0]).clone());
-    }
-    let (start, plan) = tree_join_plan(tables.len(), edges)?;
-    // The accumulator starts as a *borrow* of the first table: the opening
-    // join reads it in place, so no full-table copy happens on any chain.
-    let mut acc: Option<Table> = None;
-    for (i, new_side) in plan {
-        let left: &Table = acc.as_ref().unwrap_or(tables[start]);
-        let step = hash_join(left, tables[new_side], &edges[i].on, JoinKind::Inner)?;
-        acc = Some(intermediate(step));
-    }
-    Ok(acc.expect("at least one edge was joined"))
 }
 
 #[cfg(test)]
@@ -276,84 +240,5 @@ mod tests {
         let j = hash_join(&l, &r, &AttrSet::from_names(["dup_k"]), JoinKind::Inner).unwrap();
         assert_eq!(j.num_attrs(), 2);
         assert_eq!(j.value_by_attr(0, attr("dup_v")).unwrap(), Value::Int(100));
-    }
-
-    #[test]
-    fn three_way_tree_join() {
-        let a = Table::from_rows(
-            "A",
-            &[("tw_x", ValueType::Int), ("tw_y", ValueType::Int)],
-            vec![
-                vec![Value::Int(1), Value::Int(10)],
-                vec![Value::Int(2), Value::Int(20)],
-            ],
-        )
-        .unwrap();
-        let b = Table::from_rows(
-            "B",
-            &[("tw_y", ValueType::Int), ("tw_z", ValueType::Int)],
-            vec![
-                vec![Value::Int(10), Value::Int(100)],
-                vec![Value::Int(20), Value::Int(200)],
-            ],
-        )
-        .unwrap();
-        let c = Table::from_rows(
-            "C",
-            &[("tw_z", ValueType::Int), ("tw_w", ValueType::Int)],
-            vec![vec![Value::Int(100), Value::Int(7)]],
-        )
-        .unwrap();
-        let mut hook_calls = 0;
-        let j = join_tree(
-            &[&a, &b, &c],
-            &[
-                JoinEdge {
-                    a: 0,
-                    b: 1,
-                    on: AttrSet::from_names(["tw_y"]),
-                },
-                JoinEdge {
-                    a: 1,
-                    b: 2,
-                    on: AttrSet::from_names(["tw_z"]),
-                },
-            ],
-            |t| {
-                hook_calls += 1;
-                t
-            },
-        )
-        .unwrap();
-        assert_eq!(hook_calls, 2);
-        assert_eq!(j.num_rows(), 1);
-        assert_eq!(j.value_by_attr(0, attr("tw_w")).unwrap(), Value::Int(7));
-    }
-
-    #[test]
-    fn disconnected_tree_rejected() {
-        let a =
-            Table::from_rows("A", &[("dj_x", ValueType::Int)], vec![vec![Value::Int(1)]]).unwrap();
-        let b =
-            Table::from_rows("B", &[("dj_x", ValueType::Int)], vec![vec![Value::Int(1)]]).unwrap();
-        let c =
-            Table::from_rows("C", &[("dj_y", ValueType::Int)], vec![vec![Value::Int(1)]]).unwrap();
-        let r = join_tree(
-            &[&a, &b, &c],
-            &[
-                JoinEdge {
-                    a: 0,
-                    b: 1,
-                    on: AttrSet::from_names(["dj_x"]),
-                },
-                JoinEdge {
-                    a: 0,
-                    b: 1,
-                    on: AttrSet::from_names(["dj_x"]),
-                },
-            ],
-            |t| t,
-        );
-        assert!(r.is_err());
     }
 }

@@ -45,10 +45,8 @@ pub mod delta;
 pub mod error;
 pub mod group;
 pub mod hash;
-pub mod histogram;
 pub mod interner;
 pub mod join;
-pub mod join_legacy;
 pub mod schema;
 pub mod sel;
 pub mod sym;
@@ -62,9 +60,6 @@ pub use delta::TableDelta;
 pub use error::{RelationError, Result};
 pub use group::{group_ids, group_ids_with, Grouping, JointGrouping};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use histogram::{
-    distinct_count, group_rows, joint_counts, value_counts, value_counts_with, GroupKey,
-};
 pub use interner::InternerRegistry;
 pub use schema::{attr, AttrId, AttrSet, Attribute, Schema};
 pub use sel::{

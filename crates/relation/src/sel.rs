@@ -24,10 +24,10 @@
 //!   a table materialized, with **one gather per output column** straight
 //!   from the base tables ([`join_tree_late`]).
 //!
-//! Output row order, schema order and values are identical to the per-hop
-//! materializing pipeline (`hash_join` chained by `join::join_tree`), which
-//! survives as the pinning reference; `join_legacy::hash_join_keyed` pins the
-//! value-keyed single join. Probe, composition and materialization fan out
+//! Output row order, schema order and values are identical to joining and
+//! materializing hop by hop on value keys; integration tests pin both the
+//! pair join and the tree join against such a reference. Probe, composition
+//! and materialization fan out
 //! over a [`dance_executor::Executor`] in chunk/item order, so results are
 //! bit-identical at every thread count.
 
@@ -741,7 +741,7 @@ fn coalesce_key_column(lc: &Column, rc: &Column, li: &[u32], ri: &[u32]) -> Resu
             // Which dictionary backs the output, and how each side's codes
             // map into it. A join must never mutate its inputs' (possibly
             // registry-shared) dictionaries, so when the sides disagree the
-            // mixed symbols go into a *fresh* private dictionary — the legacy
+            // mixed symbols go into a *fresh* private dictionary — the
             // ColumnBuilder convention, per distinct symbol instead of per
             // row. The `Arc`-shared case keeps codes (and the dictionary)
             // verbatim.
@@ -905,7 +905,7 @@ struct OutCol {
 /// [`TreeSel`], one gather per output column at the end. `intermediate` is
 /// called after every hop with the composed selection (the hook point §3.2
 /// re-sampling uses). Output is identical — schema, row order, values — to
-/// [`crate::join::join_tree`] over the same inputs.
+/// chaining [`crate::join::hash_join`] hop by hop over the same inputs.
 pub fn join_tree_late(
     tables: &[&Table],
     edges: &[JoinEdge],
@@ -976,8 +976,7 @@ pub struct TreeJoin<'a> {
     tables: &'a [&'a Table],
     edges: &'a [JoinEdge],
     /// `(edge index, newly joined table)` consumption order, from
-    /// [`crate::join::tree_join_plan`] — the lock-step contract with
-    /// [`crate::join::join_tree`].
+    /// `join::tree_join_plan`.
     plan: Vec<(usize, usize)>,
     /// Next plan entry to consume.
     step: usize,
@@ -1203,8 +1202,8 @@ impl<'a> TreeJoin<'a> {
             li.extend(lc);
             ri.extend(rc);
         }
-        // Selection columns index output rows as u32 (NO_ROW reserved). The
-        // legacy path would OOM long before this; the selection costs only a
+        // Selection columns index output rows as u32 (NO_ROW reserved). A
+        // per-hop materializing join would OOM long before this; the selection costs only a
         // few bytes per row, so an over-wide fan-out must fail loudly instead
         // of wrapping — re-sample earlier (lower η) or join fewer hops.
         if li.len() >= NO_ROW as usize {
@@ -1297,7 +1296,7 @@ impl<'a> TreeJoin<'a> {
 mod tests {
     use super::*;
     use crate::interner::InternerRegistry;
-    use crate::join::{hash_join, join_tree};
+    use crate::join::hash_join;
     use crate::value::ValueType;
 
     fn rows_of(t: &Table) -> Vec<Vec<Value>> {
@@ -1373,83 +1372,6 @@ mod tests {
             let reference = hash_join(&a, &b, &on, kind).unwrap();
             assert_tables_equal(&mat, &reference);
         }
-    }
-
-    /// Joining must never mutate the inputs' dictionaries: a full-outer join
-    /// of a registry-interned left against a private-dictionary right builds
-    /// its coalesced key column in a fresh dictionary, leaving the shared
-    /// registry code space untouched.
-    #[test]
-    fn outer_join_never_mutates_input_dictionaries() {
-        let reg = InternerRegistry::new();
-        let (a, b, _) = chain();
-        let a = a.intern_into(&reg);
-        let on = AttrSet::from_names(["sel_k"]);
-        let shared = reg.dict_for(crate::schema::attr("sel_k"));
-        let shared_before = shared.len();
-        let ColumnData::Str(_, rd) = b.column(0).data() else {
-            panic!("expected Str key");
-        };
-        let right_before = rd.len();
-
-        let j = hash_join(&a, &b, &on, JoinKind::FullOuter).unwrap();
-        assert_eq!(shared.len(), shared_before, "shared dictionary mutated");
-        assert_eq!(rd.len(), right_before, "right dictionary mutated");
-        // And the coalesced key column still carries every value.
-        let reference =
-            crate::join_legacy::hash_join_keyed(&a, &b, &on, JoinKind::FullOuter).unwrap();
-        assert_eq!(rows_of(&j), rows_of(&reference));
-    }
-
-    #[test]
-    fn late_tree_matches_per_hop_tree() {
-        let (a, b, c) = chain();
-        let per_hop = join_tree(&[&a, &b, &c], &chain_edges(), |t| t).unwrap();
-        let late = join_tree_late(&[&a, &b, &c], &chain_edges(), |s| s).unwrap();
-        assert_tables_equal(&late, &per_hop);
-    }
-
-    #[test]
-    fn late_tree_matches_with_shared_dictionaries() {
-        let reg = InternerRegistry::new();
-        let (a, b, c) = chain();
-        let (ai, bi, ci) = (
-            a.intern_into(&reg),
-            b.intern_into(&reg),
-            c.intern_into(&reg),
-        );
-        let per_hop = join_tree(&[&ai, &bi, &ci], &chain_edges(), |t| t).unwrap();
-        let late = join_tree_late(&[&ai, &bi, &ci], &chain_edges(), |s| s).unwrap();
-        assert_tables_equal(&late, &per_hop);
-        // And the interned chain joins exactly like the private-dict chain.
-        let plain = join_tree_late(&[&a, &b, &c], &chain_edges(), |s| s).unwrap();
-        assert_eq!(rows_of(&late), rows_of(&plain));
-    }
-
-    #[test]
-    fn retain_is_gather_at_the_selection_level() {
-        let (a, b, c) = chain();
-        let keep: Vec<u32> = (0..1000).step_by(3).collect();
-        let per_hop = join_tree(&[&a, &b, &c], &chain_edges(), |t| {
-            let keep: Vec<u32> = keep
-                .iter()
-                .copied()
-                .filter(|&i| (i as usize) < t.num_rows())
-                .collect();
-            t.gather(&keep)
-        })
-        .unwrap();
-        let late = join_tree_late(&[&a, &b, &c], &chain_edges(), |mut s| {
-            let keep: Vec<u32> = keep
-                .iter()
-                .copied()
-                .filter(|&i| (i as usize) < s.num_rows())
-                .collect();
-            s.retain(&keep);
-            s
-        })
-        .unwrap();
-        assert_tables_equal(&late, &per_hop);
     }
 
     #[test]

@@ -190,11 +190,6 @@ impl Table {
         set.iter().map(|id| self.schema.require(id)).collect()
     }
 
-    /// Materialize the key of `row` over the given column positions.
-    pub fn key(&self, row: usize, cols: &[usize]) -> Box<[Value]> {
-        cols.iter().map(|&c| self.columns[c].value(row)).collect()
-    }
-
     /// All values of one row, in schema order.
     pub fn row(&self, row: usize) -> Vec<Value> {
         (0..self.columns.len())
@@ -404,8 +399,8 @@ mod tests {
         let cols = t
             .attr_indices(&AttrSet::from_names(["tbl_a", "tbl_b"]))
             .unwrap();
-        let k = t.key(0, &cols);
-        assert_eq!(&*k, &[Value::Int(1), Value::str("x")]);
+        let k: Vec<Value> = cols.iter().map(|&c| t.value(0, c)).collect();
+        assert_eq!(k, [Value::Int(1), Value::str("x")]);
         assert_eq!(
             t.row(2),
             vec![Value::Int(3), Value::str("x"), Value::Float(2.5)]

@@ -1,11 +1,11 @@
 //! Property tests of the relational substrate's invariants.
 
-use dance_relation::histogram::legacy;
+use dance_oracle::{group_rows, joint_counts, value_counts, GroupKey};
 use dance_relation::join::{hash_join, JoinKind};
 use dance_relation::{
-    group_ids, group_ids_with, group_rows, join_sel_with, joint_counts, pair_sel_with,
-    sym_counts_with, sym_joint_counts, value_counts, value_counts_with, AttrSet, Executor,
-    FxHashMap, GroupKey, InternerRegistry, SymCounts, Table, Value, ValueType,
+    group_ids, group_ids_with, join_sel_with, pair_sel_with, sym_counts, sym_counts_with,
+    sym_joint_counts, AttrSet, Executor, FxHashMap, InternerRegistry, SymCounts, Table, Value,
+    ValueType,
 };
 use proptest::prelude::*;
 
@@ -141,15 +141,17 @@ proptest! {
         prop_assert!(f.num_rows() <= t.num_rows());
     }
 
-    /// value_counts totals the row count.
+    /// A symbol histogram totals the row count.
     #[test]
     fn histogram_total(t in arb_table("ph", "ph_k")) {
-        let c = value_counts(&t, &AttrSet::from_names(["ph_k"])).unwrap();
-        prop_assert_eq!(c.values().sum::<u64>(), t.num_rows() as u64);
+        let c = sym_counts(&t, &AttrSet::from_names(["ph_k"])).unwrap();
+        prop_assert_eq!(c.counts().values().sum::<u64>(), t.num_rows() as u64);
+        prop_assert_eq!(c.total(), t.num_rows() as u64);
     }
 
-    /// The dense group-id kernel agrees with the legacy per-row `GroupKey`
-    /// path on every histogram API, across all type/NULL combinations.
+    /// The dense group-id kernel groups rows exactly as the per-row value
+    /// histogram does, across all type/NULL combinations: keyed by each
+    /// group's first row, the per-id counts equal the per-key counts.
     #[test]
     fn dense_kernel_matches_legacy_histograms(t in arb_mixed_table()) {
         for attrs in [
@@ -159,30 +161,16 @@ proptest! {
             AttrSet::from_names(["mx_s", "mx_i"]),
             AttrSet::from_names(["mx_s", "mx_i", "mx_f"]),
         ] {
-            let dense = value_counts(&t, &attrs).unwrap();
-            let slow = legacy::value_counts(&t, &attrs).unwrap();
-            prop_assert_eq!(&dense, &slow, "value_counts diverged on {}", attrs);
-
-            let mut dg = group_rows(&t, &attrs).unwrap();
-            let mut sg = legacy::group_rows(&t, &attrs).unwrap();
-            for rows in dg.values_mut().chain(sg.values_mut()) {
-                rows.sort_unstable();
-            }
-            prop_assert_eq!(dg, sg, "group_rows diverged on {}", attrs);
+            let g = group_ids(&t, &attrs).unwrap();
+            let dense: FxHashMap<u32, u64> =
+                g.representatives().into_iter().zip(g.counts()).collect();
+            let reference: FxHashMap<u32, u64> = group_rows(&t, &attrs)
+                .unwrap()
+                .into_values()
+                .map(|rows| (rows[0], rows.len() as u64))
+                .collect();
+            prop_assert_eq!(dense, reference, "group ids diverged on {}", attrs);
         }
-    }
-
-    /// Dense joint counts agree with the legacy pairwise accumulation.
-    #[test]
-    fn dense_joint_counts_match_legacy(t in arb_mixed_table()) {
-        let x = AttrSet::from_names(["mx_s"]);
-        let y = AttrSet::from_names(["mx_i", "mx_f"]);
-        let dense = joint_counts(&t, &x, &y).unwrap();
-        let slow = legacy::joint_counts(&t, &x, &y).unwrap();
-        prop_assert_eq!(dense.n, slow.n);
-        prop_assert_eq!(dense.x, slow.x);
-        prop_assert_eq!(dense.y, slow.y);
-        prop_assert_eq!(dense.xy, slow.xy);
     }
 
     /// Chunked parallel encoding is **bit-identical** to the sequential path
@@ -209,8 +197,8 @@ proptest! {
         }
     }
 
-    /// Parallel zip (joint grouping) and value_counts match sequential
-    /// exactly, including the per-group marginal back-pointers.
+    /// Parallel zip (joint grouping) matches sequential exactly, including
+    /// the per-group marginal back-pointers.
     #[test]
     fn parallel_zip_and_histograms_bit_identical(t in arb_mixed_table()) {
         let seq = Executor::sequential();
@@ -219,7 +207,6 @@ proptest! {
         let gx = group_ids_with(&seq, &t, &x).unwrap();
         let gy = group_ids_with(&seq, &t, &y).unwrap();
         let reference = gx.zip_with(&seq, &gy);
-        let ref_counts = value_counts_with(&seq, &t, &x.union(&y)).unwrap();
         for threads in PIN_THREADS {
             let exec = Executor::with_grain(threads, 1);
             let joint = gx.zip_with(&exec, &gy);
@@ -229,7 +216,6 @@ proptest! {
                 prop_assert_eq!(joint.x_of(g), reference.x_of(g));
                 prop_assert_eq!(joint.y_of(g), reference.y_of(g));
             }
-            prop_assert_eq!(&value_counts_with(&exec, &t, &x.union(&y)).unwrap(), &ref_counts);
         }
     }
 
@@ -308,7 +294,7 @@ proptest! {
         }
         prop_assert_eq!(seen as usize, g.num_groups());
         prop_assert_eq!(g.counts().iter().sum::<u64>(), t.num_rows() as u64);
-        prop_assert_eq!(g.materialize_keys(&t, &attrs).unwrap().len(), g.num_groups());
+        prop_assert_eq!(g.representatives().len(), g.num_groups());
     }
 }
 
@@ -348,7 +334,7 @@ fn assert_same_table(a: &Table, b: &Table) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The symbol-native selection join equals the retained value-keyed join
+    /// The symbol-native selection join equals the value-keyed reference join
     /// bit-exact — every `JoinKind`, NULL join keys, multi-attribute `on`,
     /// and shared (registry) vs private dictionaries, at forced-chunking
     /// executors {1, 4} for the late-materialization tree driver.
@@ -378,8 +364,7 @@ proptest! {
             ] {
                 for kind in [JoinKind::Inner, JoinKind::FullOuter] {
                     let sym = hash_join(lt, rt, &on, kind).unwrap();
-                    let keyed =
-                        dance_relation::join_legacy::hash_join_keyed(lt, rt, &on, kind).unwrap();
+                    let keyed = dance_oracle::hash_join(lt, rt, &on, kind).unwrap();
                     assert_same_table(&sym, &keyed)?;
                 }
             }
@@ -471,7 +456,7 @@ proptest! {
             dance_relation::join::JoinEdge { a: 1, b: 2, on: AttrSet::from_names(["mx_i"]) },
         ];
         let tables = [&a, &b, &c];
-        let per_hop = dance_relation::join::join_tree(&tables, &edges, |t| t).unwrap();
+        let per_hop = dance_oracle::join_tree(&tables, &edges, |t| t).unwrap();
         for threads in [1usize, 4] {
             let exec = Executor::with_grain(threads, 1);
             let late =

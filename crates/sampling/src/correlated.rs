@@ -151,9 +151,9 @@ mod tests {
         let s = CorrelatedSampler::new(0.5, 11);
         let sample = s.sample(&t, &AttrSet::from_names(["cs_k"])).unwrap();
         // Every surviving key must appear exactly `dup` times.
-        let counts = dance_relation::value_counts(&sample, &AttrSet::from_names(["cs_k"])).unwrap();
-        for (k, c) in counts {
-            assert_eq!(c, 3, "key {k:?} survived partially");
+        let g = group_ids(&sample, &AttrSet::from_names(["cs_k"])).unwrap();
+        for (rep, c) in g.representatives().into_iter().zip(g.counts()) {
+            assert_eq!(c, 3, "key of row {rep} survived partially");
         }
     }
 
@@ -197,7 +197,9 @@ mod tests {
 
         let full_join = hash_join(&l, &r, &on, JoinKind::Inner).unwrap();
         let cols = full_join.attr_indices(&on).unwrap();
-        let sampled_join = full_join.filter(|row| s.score(&full_join.key(row, &cols)) < 0.4);
+        let key =
+            |row: usize| -> Vec<Value> { cols.iter().map(|&c| full_join.value(row, c)).collect() };
+        let sampled_join = full_join.filter(|row| s.score(&key(row)) < 0.4);
 
         assert_eq!(join_of_samples.num_rows(), sampled_join.num_rows());
     }
@@ -258,7 +260,8 @@ mod tests {
                 cols.iter().map(|&c| table.column(c).cells()).collect();
             for rep in g.representatives() {
                 let columnar = s.score_row(&table, &cols, &cells, rep as usize);
-                let keyed = s.score(&table.key(rep as usize, &cols));
+                let key: Vec<Value> = cols.iter().map(|&c| table.value(rep as usize, c)).collect();
+                let keyed = s.score(&key);
                 assert_eq!(columnar.to_bits(), keyed.to_bits(), "row {rep}");
             }
         }

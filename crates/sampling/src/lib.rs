@@ -27,6 +27,5 @@ pub use bernoulli::bernoulli_sample;
 pub use correlated::CorrelatedSampler;
 pub use estimators::{estimate_correlation, estimate_ji, estimate_quality, SampledPath};
 pub use resample::{
-    join_tree_bounded, join_tree_bounded_tables, join_tree_bounded_with, BoundedHook,
-    ResampleConfig, ResampleStats,
+    join_tree_bounded, join_tree_bounded_with, BoundedHook, ResampleConfig, ResampleStats,
 };

@@ -14,12 +14,11 @@
 //! ([`dance_relation::sel`]): every hop composes row-id selections on
 //! interned symbols, the size check and the re-sampling filter operate on the
 //! composed selection (`TreeSel::num_rows` / `TreeSel::retain`), and one
-//! table is materialized at the very end for the estimator. The per-hop
-//! materializing path survives as [`join_tree_bounded_tables`] — the pinning
-//! reference tests compare against; both produce identical tables and stats.
+//! table is materialized at the very end for the estimator. Tests pin the
+//! output tables and stats against a per-hop materializing reference.
 
 use dance_relation::hash::{stable_hash64, unit_interval};
-use dance_relation::join::{join_tree, JoinEdge};
+use dance_relation::join::JoinEdge;
 use dance_relation::sel::{join_tree_late_with, TreeSel};
 use dance_relation::{Executor, Result, Table};
 
@@ -139,44 +138,6 @@ pub fn join_tree_bounded_with(
     let mut hook = BoundedHook::new(cfg);
     let joined = join_tree_late_with(exec, tables, edges, |sel| hook.apply(sel))?;
     Ok((joined, hook.into_stats()))
-}
-
-/// The per-hop materializing reference: identical output and stats, one full
-/// intermediate [`Table`] gathered per hop. Kept for property-test pinning
-/// and the `join_pipeline` bench baseline — production paths use
-/// [`join_tree_bounded`].
-pub fn join_tree_bounded_tables(
-    tables: &[&Table],
-    edges: &[JoinEdge],
-    cfg: Option<&ResampleConfig>,
-) -> Result<(Table, ResampleStats)> {
-    let mut stats = ResampleStats {
-        cumulative_rate: 1.0,
-        ..ResampleStats::default()
-    };
-    let mut step: u64 = 0;
-    let joined = join_tree(tables, edges, |intermediate| {
-        step += 1;
-        stats.max_intermediate = stats.max_intermediate.max(intermediate.num_rows());
-        match cfg {
-            Some(c) if intermediate.num_rows() > c.eta => {
-                stats.resampled_steps += 1;
-                stats.cumulative_rate *= c.rate;
-                resample_rows(&intermediate, c.rate, c.seed ^ step)
-            }
-            _ => intermediate,
-        }
-    })?;
-    Ok((joined, stats))
-}
-
-/// Uniform deterministic row sample of an intermediate result.
-fn resample_rows(t: &Table, rate: f64, seed: u64) -> Table {
-    let keep: Vec<u32> = (0..t.num_rows())
-        .filter(|&r| unit_interval(stable_hash64(seed, &(r as u64))) < rate)
-        .map(|r| r as u32)
-        .collect();
-    t.gather(&keep)
 }
 
 #[cfg(test)]

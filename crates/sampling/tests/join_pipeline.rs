@@ -1,15 +1,14 @@
 //! End-to-end pins of the selection-vector join pipeline: the
-//! late-materialization path must reproduce the per-hop materializing
-//! reference — tables, re-sampling stats, and estimator outputs — bit-exact,
-//! at explicit executors and under whatever `DANCE_THREADS` CI sets.
+//! late-materialization path must reproduce the oracle's per-hop
+//! materializing reference — tables, re-sampling stats, and estimator
+//! outputs — bit-exact, at explicit executors and under whatever
+//! `DANCE_THREADS` CI sets.
 
 use dance_quality::tane::TaneConfig;
 use dance_relation::join::JoinEdge;
 use dance_relation::{AttrSet, Executor, InternerRegistry, Table, Value, ValueType};
 use dance_sampling::estimators::{estimate_correlation, estimate_quality, SampledPath};
-use dance_sampling::resample::{
-    join_tree_bounded, join_tree_bounded_tables, join_tree_bounded_with, ResampleConfig,
-};
+use dance_sampling::resample::{join_tree_bounded, join_tree_bounded_with, ResampleConfig};
 
 fn assert_same_table(a: &Table, b: &Table) {
     assert_eq!(a.name(), b.name());
@@ -114,7 +113,7 @@ fn bounded_tree_join_matches_materializing_reference() {
             }),
         ] {
             let (reference, ref_stats) =
-                join_tree_bounded_tables(&refs, &chain_edges(), cfg.as_ref()).unwrap();
+                dance_oracle::join_tree_bounded(&refs, &chain_edges(), cfg.as_ref()).unwrap();
             let (late, stats) = join_tree_bounded(&refs, &chain_edges(), cfg.as_ref()).unwrap();
             assert_same_table(&late, &reference);
             assert_eq!(stats, ref_stats);
@@ -146,7 +145,8 @@ fn sampled_path_estimator_outputs_pinned() {
         let (late, stats) = path.join().unwrap();
         let sample_refs: Vec<&Table> = path.samples.iter().collect();
         let (reference, ref_stats) =
-            join_tree_bounded_tables(&sample_refs, &path.edges, path.resample.as_ref()).unwrap();
+            dance_oracle::join_tree_bounded(&sample_refs, &path.edges, path.resample.as_ref())
+                .unwrap();
         assert_same_table(&late, &reference);
         assert_eq!(stats, ref_stats);
         if late.is_empty() {

@@ -80,8 +80,8 @@ proptest! {
         let on = AttrSet::from_names(["custkey"]);
         let sampler = CorrelatedSampler::new(rate, seed);
         let sample = sampler.sample(orders, &on).unwrap();
-        let full_counts = dance::relation::value_counts(orders, &on).unwrap();
-        let sample_counts = dance::relation::value_counts(&sample, &on).unwrap();
+        let full_counts = dance_oracle::value_counts(orders, &on).unwrap();
+        let sample_counts = dance_oracle::value_counts(&sample, &on).unwrap();
         for (k, c) in &sample_counts {
             prop_assert_eq!(full_counts[k], *c, "key survived partially");
         }
