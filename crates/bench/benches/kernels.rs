@@ -7,9 +7,9 @@
 //!
 //! * `join_pipeline`: the symbol-native late-materialization tree join on
 //!   2- and 4-hop string-keyed chains, shared vs private dictionaries;
-//! * `seq_vs_par`: the scoped-thread executor at 1/2/4/8 workers on a larger
-//!   TPC-H instance (group-id encoding, entropy, JI and the full
-//!   `JoinGraph::build`);
+//! * `seq_vs_par`: the full `JoinGraph::build` on a larger TPC-H instance
+//!   with its re-weigh fan-out at 1/2/4/8 workers (the counting kernels
+//!   themselves are sequential);
 //! * `mcmc_search` / `mcmc_multichain`: the MCMC walk from cold caches (one
 //!   chain) and on the warm graph-wide memo (one chain and best-of-N);
 //! * `catalog_update`: delta-based catalog maintenance
@@ -28,19 +28,14 @@ use dance_core::mcmc::find_optimal_target_graph;
 use dance_core::target::Cover;
 use dance_core::{Constraints, JoinGraph, JoinGraphConfig, McmcConfig};
 use dance_datagen::tpch::{tpch, TpchConfig};
-use dance_info::{
-    correlation, join_informativeness, join_informativeness_with, shannon_entropy,
-    shannon_entropy_with,
-};
+use dance_info::{correlation, join_informativeness, shannon_entropy};
 use dance_market::{
     DatasetId, DatasetMeta, EntropyPricing, Marketplace, ProjectionQuery, SessionConfig,
     SessionManager, SessionManagerConfig,
 };
 use dance_quality::{discover_afds, quality, Fd, TaneConfig};
 use dance_relation::join::{hash_join, JoinKind};
-use dance_relation::{
-    group_ids_with, AttrSet, Executor, InternerRegistry, Table, TableDelta, Value, ValueType,
-};
+use dance_relation::{AttrSet, Executor, InternerRegistry, Table, TableDelta, Value, ValueType};
 use dance_sampling::CorrelatedSampler;
 use std::hint::black_box;
 
@@ -53,8 +48,8 @@ fn tables() -> Vec<Table> {
     .expect("generation")
 }
 
-/// A catalog big enough that the executor actually chunks it (lineitem is
-/// ~150k rows at scale 100; the default grain is 4096 rows per worker).
+/// The largest catalog the benches use (lineitem is ~150k rows at scale
+/// 100).
 fn par_tables() -> Vec<Table> {
     tpch(&TpchConfig {
         scale: 100.0,
@@ -154,15 +149,14 @@ fn bench_join_pipeline(c: &mut Criterion) {
     g.finish();
 }
 
-/// The scoped-thread executor at 1/2/4/8 workers on the scale-100 TPC-H
-/// catalog. Entries with the same name and different thread suffixes compute
-/// identical (bit-for-bit) results; only wall-clock may differ. `threads=1`
-/// is exactly the sequential code path, so it doubles as the baseline.
+/// `JoinGraph::build` on the scale-100 TPC-H catalog with its re-weigh
+/// fan-out (one histogram task per (instance, candidate join set), then one
+/// JI task per edge candidate) at 1/2/4/8 workers. Entries with different
+/// thread suffixes compute identical (bit-for-bit) results; only wall-clock
+/// may differ. `threads=1` is exactly the sequential code path, so it
+/// doubles as the baseline.
 fn bench_seq_vs_par(c: &mut Criterion) {
     let ts = par_tables();
-    let lineitem = by_name(&ts, "lineitem");
-    let orders = by_name(&ts, "orders");
-    let customer = by_name(&ts, "customer");
     let metas = metas_of(&ts);
 
     let mut g = c.benchmark_group("seq_vs_par");
@@ -178,41 +172,10 @@ fn bench_seq_vs_par(c: &mut Criterion) {
     );
 
     for threads in [1usize, 2, 4, 8] {
-        let exec = Executor::new(threads);
-
-        // The raw group-id encode on the largest table (Int key).
-        let on = AttrSet::from_names(["orderkey"]);
-        g.bench_with_input(
-            BenchmarkId::new("group_ids_lineitem_orderkey", threads),
-            lineitem,
-            |b, t| b.iter(|| group_ids_with(&exec, black_box(t), &on).unwrap()),
-        );
-
-        // Compound Str entropy: encode + fold + count.
-        let compound = AttrSet::from_names(["c_city", "c_state"]);
-        g.bench_with_input(
-            BenchmarkId::new("entropy_customer_city_state", threads),
-            customer,
-            |b, t| b.iter(|| shannon_entropy_with(&exec, black_box(t), &compound).unwrap()),
-        );
-
-        // JI: two chunked histogram builds + the sequential fold.
-        let custkey = AttrSet::from_names(["custkey"]);
-        g.bench_with_input(
-            BenchmarkId::new("ji_orders_customer", threads),
-            orders,
-            |b, t| {
-                b.iter(|| {
-                    join_informativeness_with(&exec, black_box(t), black_box(customer), &custkey)
-                        .unwrap()
-                })
-            },
-        );
-
         // Whole-graph construction: histogram + JI tasks fanned out over the
         // executor (the offline phase of §4 on the full catalog).
         let cfg = JoinGraphConfig {
-            executor: exec,
+            executor: Executor::new(threads),
             ..JoinGraphConfig::default()
         };
         g.bench_with_input(

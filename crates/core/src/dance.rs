@@ -14,9 +14,9 @@
 //! Every multi-hop join the middleware evaluates — [`Dance::search`]'s MCMC
 //! candidates, [`Dance::evaluate_true`]'s full-table ground truth, and the
 //! re-joins after [`Dance::refine`] — flows through the selection-vector
-//! pipeline (`dance_relation::sel` via `join_tree_bounded_with`): per-hop
-//! joins compose row-id selections on interned symbols, fan out over the
-//! graph's `dance-executor`, and materialize one table for the estimators.
+//! pipeline (`dance_relation::sel` via `join_tree_bounded`): per-hop joins
+//! compose row-id selections on interned symbols and materialize one table
+//! for the estimators.
 //!
 //! The MCMC search additionally rides the graph's bounded evaluation caches
 //! (see `crate::mcmc`'s module docs): per-hop pair selections, projected

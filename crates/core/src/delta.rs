@@ -92,18 +92,11 @@ impl JoinGraph {
                     continue;
                 }
                 let (key, patched) = if p == i {
-                    let patched =
-                        old.patch_probe(&self.exec, &kept, &after, &self.samples[b as usize], &on)?;
+                    let patched = old.patch_probe(&kept, &after, &self.samples[b as usize], &on)?;
                     ((p, gen_new, b, bg, on), patched)
                 } else {
-                    let patched = old.patch_build(
-                        &self.exec,
-                        &remap,
-                        &self.samples[p as usize],
-                        &after,
-                        n_surv,
-                        &on,
-                    )?;
+                    let patched =
+                        old.patch_build(&remap, &self.samples[p as usize], &after, n_surv, &on)?;
                     ((p, pg, b, gen_new, on), patched)
                 };
                 self.sel_cache.insert(key, Arc::new(patched));
@@ -259,7 +252,7 @@ mod tests {
             samples,
             EntropyPricing::default(),
             &JoinGraphConfig {
-                executor: Executor::with_grain(4, 1),
+                executor: Executor::new(4),
                 ..JoinGraphConfig::default()
             },
         )
@@ -377,7 +370,7 @@ mod tests {
                 samples.clone(),
                 EntropyPricing::default(),
                 &JoinGraphConfig {
-                    executor: Executor::with_grain(4, 1),
+                    executor: Executor::new(4),
                     partials_cache_cap: cap,
                     ..JoinGraphConfig::default()
                 },

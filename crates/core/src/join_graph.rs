@@ -19,9 +19,10 @@
 //! fans out across the [`Executor`] threaded in through [`JoinGraphConfig`]:
 //! first one histogram task per distinct (instance, candidate-join-set) the
 //! cache does not hold, then one JI task per (instance-pair,
-//! candidate-join-set). Results are folded back in the sequential
-//! enumeration order, so the produced edges and weights are identical at
-//! every thread count. [`JoinGraph::build`] runs the round on every edge;
+//! candidate-join-set). Each task runs its counting kernel sequentially
+//! inside its worker; results are folded back in the sequential enumeration
+//! order, so the produced edges and weights are identical at every thread
+//! count. [`JoinGraph::build`] runs the round on every edge;
 //! [`JoinGraph::refresh_sample`] and [`JoinGraph::apply_delta`] run it on the
 //! edges incident to the changed instance, drawing partner-side histograms
 //! from the persistent cache instead of recounting partner samples. Eviction
@@ -46,10 +47,10 @@ use crate::full_tier::FullKey;
 use crate::mcmc::{EvalKey, TargetGraph};
 use dance_info::ji::{ji_from_sym_counts, PairPartials};
 use dance_market::{DatasetMeta, EntropyPricing, PricingModel};
-use dance_relation::sel::pair_sel_with;
 use dance_relation::sym::MAX_SYM_KEY_ATTRS;
 use dance_relation::{
-    sym_counts_with, AttrSet, Executor, FxHashMap, PairSel, RelationError, Result, SymCounts, Table,
+    pair_sel, sym_counts, AttrSet, Executor, FxHashMap, PairSel, RelationError, Result, SymCounts,
+    Table,
 };
 use std::sync::Arc;
 
@@ -120,27 +121,6 @@ impl Default for JoinGraphConfig {
             eval_memo_cap: DEFAULT_EVAL_MEMO_CAP,
         }
     }
-}
-
-/// Inner (nested-chunking) worker count for one histogram work item: the
-/// **work-size heuristic** that splits giant samples' counting kernels across
-/// otherwise-idle executor workers when the catalog offers fewer
-/// (instance, candidate-set) items than the pool has threads.
-///
-/// With at least `threads` items every kernel runs sequentially inside its
-/// `par_map` worker — the fan-out alone saturates the pool, and nested
-/// chunking would only oversubscribe it. With fewer items, each item's inner
-/// pool is sized by its **row share** of the round's total work, so one giant
-/// sample next to a handful of tiny dimension tables claims (almost) the
-/// whole pool instead of a uniform `threads / items` slice; the sum of
-/// shares stays ≤ `threads` up to the per-item minimum of one. Executor
-/// sizing never affects results — every kernel is bit-identical at every
-/// thread count — so the heuristic is purely a scheduling decision.
-fn inner_workers(threads: usize, items: usize, rows: usize, total_rows: usize) -> usize {
-    if items >= threads || total_rows == 0 {
-        return 1;
-    }
-    ((threads * rows) / total_rows).clamp(1, threads)
 }
 
 /// An I-layer edge.
@@ -341,23 +321,11 @@ impl JoinGraph {
         let needed: Vec<usize> = (0..handles.len())
             .filter(|&s| handles[s].is_none())
             .collect();
-        let threads = self.exec.threads();
-        let total_rows: usize = needed
-            .iter()
-            .map(|&s| self.samples[keys[s].0 as usize].num_rows())
-            .sum();
         let counted: Vec<SymCounts> = self
             .exec
             .par_map(&needed, |_, &s| {
                 let (side, cand) = &keys[s];
-                let t = &self.samples[*side as usize];
-                let inner = Executor::new(inner_workers(
-                    threads,
-                    needed.len(),
-                    t.num_rows(),
-                    total_rows,
-                ));
-                sym_counts_with(&inner, t, cand)
+                sym_counts(&self.samples[*side as usize], cand)
             })
             .into_iter()
             .collect::<Result<_>>()?;
@@ -514,8 +482,8 @@ impl JoinGraph {
     /// samples are unreachable, and [`Self::apply_delta`] re-keys patched
     /// entries to the new generation — and re-composed by every MCMC
     /// proposal whose tree keeps this hop. Misses recompute transparently
-    /// (parallel partitioned build plus chunked probe on the graph's
-    /// executor); the cache is stamped-LRU bounded by
+    /// (one build plus probe over the two samples); the cache is
+    /// stamped-LRU bounded by
     /// [`JoinGraphConfig::sel_cache_cap`] and sharded by key hash, so
     /// concurrent chains reuse each other's selections with contention only
     /// on same-shard keys.
@@ -533,8 +501,7 @@ impl JoinGraph {
         // Compute outside any shard lock: a miss costs a full build + probe,
         // and concurrent searches must not serialize on it (a racing
         // duplicate computes the identical selection).
-        let pair = Arc::new(pair_sel_with(
-            &self.exec,
+        let pair = Arc::new(pair_sel(
             &self.samples[probe as usize],
             &self.samples[build as usize],
             on,
@@ -680,9 +647,8 @@ impl JoinGraph {
         self.full_memo.retain(|_| false);
     }
 
-    /// The executor the graph was built on — evaluation call sites
-    /// (`evaluate_assignment`'s multi-hop selection joins) fan out over the
-    /// same pool instead of the global one.
+    /// The executor the graph was built on; multi-chain searches
+    /// ([`crate::multichain`]) fan their chains out over it.
     pub fn executor(&self) -> Executor {
         self.exec
     }
@@ -896,28 +862,26 @@ mod tests {
                 g.samples.clone(),
                 EntropyPricing::default(),
                 &JoinGraphConfig {
-                    executor: Executor::with_grain(threads, 1),
+                    executor: Executor::new(threads),
                     ..JoinGraphConfig::default()
                 },
             )
             .unwrap()
         };
         let reference = build(1);
-        for threads in [2usize, 3, 8] {
-            let g = build(threads);
-            assert_eq!(g.i_edges.len(), reference.i_edges.len());
-            for (a, b) in g.i_edges.iter().zip(&reference.i_edges) {
-                assert_eq!((a.a, a.b), (b.a, b.b));
-                assert_eq!(
-                    a.weight.to_bits(),
-                    b.weight.to_bits(),
-                    "edge weight diverged at {threads} threads"
-                );
-            }
-            assert_eq!(g.weights.len(), reference.weights.len());
-            for (key, w) in &reference.weights {
-                assert_eq!(g.weights[key].to_bits(), w.to_bits());
-            }
+        let g = build(4);
+        assert_eq!(g.i_edges.len(), reference.i_edges.len());
+        for (a, b) in g.i_edges.iter().zip(&reference.i_edges) {
+            assert_eq!((a.a, a.b), (b.a, b.b));
+            assert_eq!(
+                a.weight.to_bits(),
+                b.weight.to_bits(),
+                "edge weight diverged at 4 threads"
+            );
+        }
+        assert_eq!(g.weights.len(), reference.weights.len());
+        for (key, w) in &reference.weights {
+            assert_eq!(g.weights[key].to_bits(), w.to_bits());
         }
     }
 
@@ -1129,68 +1093,6 @@ mod tests {
                     assert!(memo_touches(&g, 1), "instance-1 entries survive");
                 }
                 assert_memo_coherent(&g, 0, cap, &format!("delta at cap {cap} round {round}"));
-            }
-        }
-    }
-
-    /// The work-size heuristic: sequential kernels when the fan-out saturates
-    /// the pool, row-share splitting of idle workers when it does not.
-    #[test]
-    fn inner_workers_follow_row_share() {
-        // Enough items to saturate: strictly sequential kernels.
-        assert_eq!(inner_workers(4, 4, 1_000_000, 1_000_000), 1);
-        assert_eq!(inner_workers(4, 100, 1_000_000, 2_000_000), 1);
-        // One giant sample among tiny ones claims (almost) the whole pool.
-        assert_eq!(inner_workers(8, 3, 1_000_000, 1_020_000), 7);
-        assert_eq!(inner_workers(8, 3, 10_000, 1_020_000), 1);
-        // Uniform sizes degrade to the uniform split.
-        assert_eq!(inner_workers(8, 2, 500, 1000), 4);
-        // Degenerate inputs stay sequential.
-        assert_eq!(inner_workers(8, 2, 0, 0), 1);
-        assert_eq!(inner_workers(1, 1, 100, 100), 1);
-        // Shares sum to at most threads (up to the per-item minimum of one).
-        let rows = [900usize, 50, 30, 20];
-        let total: usize = rows.iter().sum();
-        let sum: usize = rows.iter().map(|&r| inner_workers(8, 4, r, total)).sum();
-        assert!(sum < 8 + rows.len(), "sum = {sum}");
-    }
-
-    /// A small catalog with one giant sample exercises the nested-chunking
-    /// branch end to end: weights must equal the sequential build bit-exact.
-    #[test]
-    fn nested_chunking_build_matches_sequential() {
-        let big: Vec<Vec<Value>> = (0..20_000)
-            .map(|i| vec![Value::Int(i % 40), Value::Int(i)])
-            .collect();
-        let (m1, t1) = inst(
-            "BIG",
-            &[("nw_k", ValueType::Int), ("nw_x", ValueType::Int)],
-            big,
-        );
-        let (m2, t2) = inst(
-            "SMALL",
-            &[("nw_k", ValueType::Int), ("nw_y", ValueType::Int)],
-            (0..50)
-                .map(|i| vec![Value::Int(i % 40), Value::Int(i * 2)])
-                .collect(),
-        );
-        let build = |threads: usize| {
-            JoinGraph::build(
-                vec![m1.clone(), m2.clone()],
-                vec![t1.clone(), t2.clone()],
-                EntropyPricing::default(),
-                &JoinGraphConfig {
-                    executor: Executor::with_grain(threads, 1),
-                    ..JoinGraphConfig::default()
-                },
-            )
-            .unwrap()
-        };
-        let reference = build(1);
-        for threads in [2usize, 8] {
-            let g = build(threads);
-            for (key, w) in &reference.weights {
-                assert_eq!(g.weights[key].to_bits(), w.to_bits());
             }
         }
     }

@@ -61,7 +61,7 @@ use dance_relation::hash::stable_hash64;
 use dance_relation::join::JoinEdge;
 use dance_relation::sel::TreeJoin;
 use dance_relation::{AttrSet, FxHashMap, FxHashSet, RelationError, Result, Table};
-use dance_sampling::resample::{join_tree_bounded_with, BoundedHook, ResampleConfig};
+use dance_sampling::resample::{join_tree_bounded, BoundedHook, ResampleConfig};
 use rand::rngs::StdRng;
 use rand::RngExt;
 use std::collections::BTreeMap;
@@ -221,8 +221,8 @@ pub fn evaluate_assignment(
             })
             .collect();
         // Selection-vector tree join: per-hop JoinSels composed on interned
-        // symbols, one materialization, fanned out over the graph's executor.
-        join_tree_bounded_with(&graph.executor(), &refs, &edges, resample)?.0
+        // symbols, one materialization.
+        join_tree_bounded(&refs, &edges, resample)?.0
     };
 
     let corr = eval_corr(&joined, source_attrs, target_attrs, full.is_some())?;
@@ -565,7 +565,6 @@ impl<'a> EvalEngine<'a> {
                     on: (*on).clone(),
                 })
                 .collect();
-            let exec = self.graph.executor();
             let mut tj = TreeJoin::new(&refs, &edges)?;
             let mut hook = BoundedHook::new(self.resample);
             while let Some(hop) = tj.next_hop()? {
@@ -584,13 +583,13 @@ impl<'a> EvalEngine<'a> {
                                 p
                             }
                         };
-                        tj.advance_with_pair(&exec, &hop, &pair)?;
+                        tj.advance_with_pair(&hop, &pair)?;
                     }
-                    None => tj.advance(&exec, &hop)?,
+                    None => tj.advance(&hop)?,
                 }
                 tj.map_sel(|s| hook.apply(s));
             }
-            Some(tj.materialize(&exec)?)
+            Some(tj.materialize()?)
         };
         let joined: &Table = joined_owned.as_ref().unwrap_or_else(|| &projected[0]);
 
@@ -1093,7 +1092,7 @@ mod tests {
                         samples.clone(),
                         EntropyPricing::default(),
                         &JoinGraphConfig {
-                            executor: Executor::with_grain(threads, 1),
+                            executor: Executor::new(threads),
                             eval_memo_cap: memo_cap,
                             ..JoinGraphConfig::default()
                         },

@@ -234,7 +234,7 @@ proptest! {
                     tables,
                     EntropyPricing::default(),
                     &JoinGraphConfig {
-                        executor: Executor::with_grain(threads, 1),
+                        executor: Executor::new(threads),
                         ..JoinGraphConfig::default()
                     },
                 )

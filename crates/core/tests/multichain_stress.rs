@@ -154,7 +154,7 @@ fn concurrent_multichain_searches_survive_a_mid_flight_update() {
                 tables,
                 EntropyPricing::default(),
                 &JoinGraphConfig {
-                    executor: Executor::with_grain(threads, 1),
+                    executor: Executor::new(threads),
                     // Small caps so the stress actually churns evictions.
                     sel_cache_cap: 8,
                     proj_cache_cap: 8,

@@ -117,7 +117,7 @@ fn shared_graph(market: &Marketplace, threads: usize) -> JoinGraph {
         tables,
         EntropyPricing::default(),
         &JoinGraphConfig {
-            executor: Executor::with_grain(threads, 1),
+            executor: Executor::new(threads),
             sel_cache_cap: 8,
             proj_cache_cap: 8,
             ..JoinGraphConfig::default()

@@ -1,54 +1,41 @@
-//! # dance-executor — scoped-thread parallel execution for the DANCE kernels
+//! # dance-executor — scoped-thread fan-out over coarse work items
 //!
-//! A zero-dependency execution layer over `std::thread::scope`. Every counting
-//! kernel in the workspace (group-id encoding, histogram folds, join-graph
-//! construction) is embarrassingly parallel over row chunks or work items; this
-//! crate provides the three primitives they share:
+//! A zero-dependency execution layer over `std::thread::scope`. The DANCE
+//! kernels themselves (group-id encoding, histogram folds, selection joins)
+//! run sequentially: they work on the small samples the offline phase buys,
+//! and row-chunking them lost to the single pass at every thread count. What
+//! stays parallel are the coarse fan-outs — one histogram or JI task per
+//! join-graph item, one seeded walk per MCMC chain — and they share two
+//! primitives:
 //!
-//! * [`Executor::scope`] — a scoped-thread region; borrows from the caller's
-//!   stack flow into workers without `'static` bounds or `Arc` plumbing.
-//! * [`Executor::par_chunks`] / [`Executor::par_ranges`] /
-//!   [`Executor::par_chunks_mut`] — split `n` items into at most
-//!   [`Executor::threads`] contiguous chunks (each at least
-//!   [`Executor::grain`] items) and run a closure per chunk, returning results
-//!   **in chunk order** so deterministic merges are trivial.
-//! * [`Executor::par_map`] — map a closure over a slice of coarse work items
-//!   with atomic work stealing, returning results **in item order**.
+//! * [`Executor::par_map`] — map a closure over a slice of work items with
+//!   atomic work stealing, returning results **in item order**;
+//! * [`Executor::par_map_init`] — the same with per-item state (an
+//!   independently seeded RNG per chain).
 //!
-//! Workers are spawned per parallel region rather than parked in a persistent
-//! pool: scoped spawning costs a few tens of microseconds per region, which is
-//! noise at the row counts where splitting is worthwhile (see `grain`), and in
-//! exchange closures may borrow freely from the enclosing frame. Small inputs
-//! and single-threaded executors run inline on the calling thread with no
-//! spawn at all, so `DANCE_THREADS=1` is exactly the sequential code path.
+//! Workers are spawned per parallel region rather than parked in a
+//! persistent pool, so closures may borrow freely from the enclosing frame.
+//! Single-threaded executors and single-item inputs run inline on the
+//! calling thread with no spawn at all, so `DANCE_THREADS=1` is exactly the
+//! sequential code path. A panic in a worker reaches the caller with its
+//! own payload, as it would have inline.
 //!
 //! ## Determinism contract
 //!
-//! None of the primitives here make results deterministic by themselves —
-//! they only guarantee *placement*: chunk results arrive in chunk order and
-//! mapped results in item order, regardless of which worker ran what when.
-//! Callers that need bit-identical output across thread counts (every DANCE
-//! kernel does) must make their per-chunk work independent of chunk
-//! boundaries; `dance_relation::group` does this by merging per-chunk
-//! dictionaries in chunk order.
+//! The primitives only guarantee *placement*: mapped results arrive in item
+//! order, regardless of which worker ran what when. Callers that need
+//! bit-identical output across thread counts must make each item's result a
+//! function of the item alone.
 //!
 //! ## Configuration
 //!
 //! [`Executor::global`] reads the `DANCE_THREADS` environment variable once
 //! per process (default: [`std::thread::available_parallelism`]). Construct
-//! explicit executors with [`Executor::new`] / [`Executor::with_grain`] when a
-//! call site must control its own parallelism (benchmarks, property tests,
-//! nested parallel regions).
+//! explicit executors with [`Executor::new`] when a call site must control
+//! its own parallelism (benchmarks, property tests).
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-/// Minimum items a worker must receive before an input is split at all; below
-/// `2 * grain` items everything runs inline. The default is tuned for the
-/// cheap per-row kernels (a hash + a vec push per row): splitting thousands of
-/// rows pays for a spawn, splitting hundreds does not.
-pub const DEFAULT_GRAIN: usize = 4096;
 
 /// A handle describing how much parallelism to use. Cheap to copy and thread
 /// through configuration structs; the actual threads exist only inside a
@@ -56,7 +43,6 @@ pub const DEFAULT_GRAIN: usize = 4096;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Executor {
     threads: usize,
-    grain: usize,
 }
 
 impl Default for Executor {
@@ -67,25 +53,11 @@ impl Default for Executor {
 }
 
 impl Executor {
-    /// Executor with `threads` workers and the default [`DEFAULT_GRAIN`].
-    /// `threads` is clamped to at least 1.
+    /// Executor with `threads` workers, clamped to at least 1.
     pub fn new(threads: usize) -> Executor {
-        Executor::with_grain(threads, DEFAULT_GRAIN)
-    }
-
-    /// Executor with an explicit chunking grain (minimum items per worker).
-    /// A grain of 1 forces chunked execution even on tiny inputs — property
-    /// tests use this to exercise the parallel merge paths on small tables.
-    pub fn with_grain(threads: usize, grain: usize) -> Executor {
         Executor {
             threads: threads.max(1),
-            grain: grain.max(1),
         }
-    }
-
-    /// The inline, no-spawn executor (1 thread).
-    pub fn sequential() -> Executor {
-        Executor::new(1)
     }
 
     /// The process-global executor: worker count from `DANCE_THREADS` (read
@@ -113,22 +85,6 @@ impl Executor {
         self.threads
     }
 
-    /// Minimum items per worker before an input is split.
-    pub fn grain(&self) -> usize {
-        self.grain
-    }
-
-    /// `true` when every parallel region runs inline on the calling thread.
-    pub fn is_sequential(&self) -> bool {
-        self.threads == 1
-    }
-
-    /// Number of chunks `n` items would be split into: enough workers that
-    /// each gets at least [`Self::grain`] items, capped by [`Self::threads`].
-    pub fn workers_for(&self, n: usize) -> usize {
-        (n / self.grain).clamp(1, self.threads)
-    }
-
     /// A scoped-thread region: plain [`std::thread::scope`], provided so call
     /// sites spawn through the executor rather than importing `std::thread`.
     pub fn scope<'env, F, T>(&self, f: F) -> T
@@ -138,92 +94,12 @@ impl Executor {
         std::thread::scope(f)
     }
 
-    /// Split `0..n` into at most [`Self::threads`] contiguous ranges (each at
-    /// least [`Self::grain`] long, sizes differing by at most one) and run
-    /// `f(chunk_index, range)` on each, in parallel. Results come back in
-    /// chunk order. With one worker (small `n`, or a sequential executor) `f`
-    /// runs inline exactly once over `0..n` — including when `n == 0`.
-    pub fn par_ranges<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, Range<usize>) -> R + Sync,
-    {
-        let workers = self.workers_for(n);
-        if workers <= 1 {
-            return vec![f(0, 0..n)];
-        }
-        let ranges = split_ranges(n, workers);
-        self.scope(|s| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .enumerate()
-                .map(|(w, range)| {
-                    s.spawn({
-                        let f = &f;
-                        move || f(w, range)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-    }
-
-    /// [`Self::par_ranges`] over a slice: `f(chunk_index, chunk)` per
-    /// contiguous chunk, results in chunk order.
-    pub fn par_chunks<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        self.par_ranges(items.len(), |w, range| f(w, &items[range]))
-    }
-
-    /// Mutable variant of [`Self::par_chunks`]: the slice is split into
-    /// disjoint `&mut` chunks, one per worker, and `f` receives
-    /// `(chunk_index, start_offset, chunk)` — the offset locates the chunk in
-    /// the original slice so aligned companion buffers can be indexed (the
-    /// in-place `fold_codes` rewrite does exactly that). Chunk boundaries
-    /// match what [`Self::par_ranges`] produces for the same length.
-    pub fn par_chunks_mut<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, usize, &mut [T]) -> R + Sync,
-    {
-        let workers = self.workers_for(items.len());
-        if workers <= 1 {
-            return vec![f(0, 0, items)];
-        }
-        let ranges = split_ranges(items.len(), workers);
-        let mut chunks = Vec::with_capacity(workers);
-        let mut rest = items;
-        for range in &ranges {
-            let (head, tail) = rest.split_at_mut(range.len());
-            chunks.push((range.start, head));
-            rest = tail;
-        }
-        self.scope(|s| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .enumerate()
-                .map(|(w, (start, chunk))| {
-                    s.spawn({
-                        let f = &f;
-                        move || f(w, start, chunk)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-    }
-
     /// Map `f` over coarse work items with atomic work stealing: workers pull
     /// the next unclaimed index until the slice is drained, so uneven item
     /// costs (e.g. join-informativeness over histograms of very different
-    /// sizes) balance automatically. Results come back in item order. The
-    /// grain is ignored — items are assumed coarse enough to schedule
-    /// individually; sequential executors and trivial inputs run inline.
+    /// sizes) balance automatically. Results come back in item order;
+    /// sequential executors and trivial inputs run inline. A worker's panic
+    /// is re-raised on the caller with its original payload.
     pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -256,7 +132,10 @@ impl Executor {
                 })
                 .collect();
             for h in handles {
-                for (i, r) in h.join().unwrap() {
+                let done = h
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                for (i, r) in done {
                     slots[i] = Some(r);
                 }
             }
@@ -311,119 +190,9 @@ pub fn threads_from_env(raw: Option<&str>, default: usize) -> (usize, Option<Str
     }
 }
 
-/// `n` items split into exactly `workers` contiguous ranges whose sizes differ
-/// by at most one (earlier ranges get the remainder).
-fn split_ranges(n: usize, workers: usize) -> Vec<Range<usize>> {
-    let base = n / workers;
-    let rem = n % workers;
-    let mut start = 0;
-    (0..workers)
-        .map(|w| {
-            let len = base + usize::from(w < rem);
-            let r = start..start + len;
-            start += len;
-            r
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn split_covers_everything_in_order() {
-        for n in [0usize, 1, 2, 7, 64, 1000] {
-            for w in 1..=8 {
-                let ranges = split_ranges(n, w);
-                assert_eq!(ranges.len(), w);
-                let mut next = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, next);
-                    next = r.end;
-                }
-                assert_eq!(next, n);
-                let (lo, hi) = (n / w, n.div_ceil(w));
-                assert!(ranges.iter().all(|r| r.len() == lo || r.len() == hi));
-            }
-        }
-    }
-
-    #[test]
-    fn workers_respect_grain_and_thread_cap() {
-        let e = Executor::with_grain(4, 10);
-        assert_eq!(e.workers_for(0), 1);
-        assert_eq!(e.workers_for(9), 1);
-        assert_eq!(e.workers_for(19), 1); // second worker would get < grain
-        assert_eq!(e.workers_for(20), 2);
-        assert_eq!(e.workers_for(39), 3);
-        assert_eq!(e.workers_for(4000), 4); // capped by threads
-        assert!(Executor::sequential().is_sequential());
-        assert_eq!(Executor::new(0).threads(), 1, "threads clamp to 1");
-    }
-
-    #[test]
-    fn par_ranges_results_in_chunk_order() {
-        let e = Executor::with_grain(4, 1);
-        let out = e.par_ranges(103, |w, r| (w, r.start, r.len()));
-        assert_eq!(out.len(), 4);
-        assert_eq!(out.iter().map(|&(_, _, l)| l).sum::<usize>(), 103);
-        for (i, &(w, _, _)) in out.iter().enumerate() {
-            assert_eq!(w, i);
-        }
-    }
-
-    #[test]
-    fn par_chunks_on_empty_input_runs_once_inline() {
-        // The empty-table edge case: one inline call over the empty slice, so
-        // callers that merge chunk results never special-case n == 0.
-        let e = Executor::with_grain(8, 1);
-        let items: Vec<u64> = Vec::new();
-        let out = e.par_chunks(&items, |w, chunk| (w, chunk.len()));
-        assert_eq!(out, vec![(0, 0)]);
-        let out = e.par_ranges(0, |_, r| r);
-        assert_eq!(out, vec![0..0]);
-    }
-
-    #[test]
-    fn par_chunks_on_single_row_runs_once_inline() {
-        // The single-row edge case: never split below one item per worker.
-        let e = Executor::with_grain(8, 1);
-        let out = e.par_chunks(&[42u64], |w, chunk| (w, chunk.to_vec()));
-        assert_eq!(out, vec![(0, vec![42])]);
-    }
-
-    #[test]
-    fn par_chunks_concatenation_reconstructs_input() {
-        let items: Vec<u64> = (0..1000).collect();
-        for threads in [1, 2, 3, 8] {
-            let e = Executor::with_grain(threads, 1);
-            let chunks = e.par_chunks(&items, |_, c| c.to_vec());
-            let flat: Vec<u64> = chunks.concat();
-            assert_eq!(flat, items, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn par_chunks_mut_mutates_disjoint_chunks_with_offsets() {
-        let mut items: Vec<u64> = vec![0; 100];
-        let e = Executor::with_grain(4, 1);
-        let lens = e.par_chunks_mut(&mut items, |w, start, chunk| {
-            for (k, x) in chunk.iter_mut().enumerate() {
-                // Each slot records its global index, proving the offset is
-                // the chunk's true position in the original slice.
-                *x = ((w as u64) << 32) | (start + k) as u64;
-            }
-            chunk.len()
-        });
-        assert_eq!(lens.iter().sum::<usize>(), 100);
-        for (i, &x) in items.iter().enumerate() {
-            assert_eq!(x as u32 as u64, i as u64);
-        }
-        // Mutable and immutable chunking agree on boundaries.
-        let mut empty: [u64; 0] = [];
-        assert_eq!(e.par_chunks_mut(&mut empty, |_, _, c| c.len()), vec![0]);
-    }
 
     #[test]
     fn par_map_results_in_item_order() {
@@ -438,6 +207,28 @@ mod tests {
         }
         let none: Vec<u64> = Vec::new();
         assert!(Executor::new(4).par_map(&none, |_, &x: &u64| x).is_empty());
+    }
+
+    #[test]
+    fn par_map_worker_panic_keeps_its_message() {
+        // Inline (1 thread) a panic in item 2 reaches the caller with its own
+        // message; a worker thread's panic must arrive the same way, not as
+        // an opaque `Result::unwrap()` on the join error.
+        let items: Vec<u64> = (0..4).collect();
+        let payload = std::panic::catch_unwind(|| {
+            Executor::new(4).par_map(&items, |i, &x| {
+                if i == 2 {
+                    panic!("boom at item {i}");
+                }
+                x
+            })
+        })
+        .expect_err("item 2 panics");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied());
+        assert_eq!(msg, Some("boom at item 2"));
     }
 
     #[test]
@@ -512,5 +303,6 @@ mod tests {
         let b = Executor::global();
         assert_eq!(a, b);
         assert!(a.threads() >= 1);
+        assert_eq!(Executor::new(0).threads(), 1, "threads clamp to 1");
     }
 }

@@ -7,12 +7,9 @@
 //!
 //! Entropy only consumes *counts*, never key values, so everything here runs
 //! on the dense group-id kernel ([`dance_relation::group_ids`]): no boxed
-//! keys are materialized at any point. The `_with` variants take an explicit
-//! [`Executor`] whose workers the grouping and counting passes are chunked
-//! across (bit-identical results at every thread count); the plain functions
-//! use [`Executor::global`] (`DANCE_THREADS`).
+//! keys are materialized at any point.
 
-use dance_relation::{group_ids_with, AttrSet, Executor, Result, SymCounts, SymJointCounts, Table};
+use dance_relation::{group_ids, AttrSet, Result, SymCounts, SymJointCounts, Table};
 
 /// Entropy (bits) of a discrete distribution given by `counts` with total `n`.
 ///
@@ -60,19 +57,10 @@ pub fn mi_from_sym_joint(j: &SymJointCounts) -> f64 {
     (hx + hy - hxy).max(0.0)
 }
 
-/// Empirical Shannon entropy `H(attrs)` of a table (compound key), on the
-/// global executor.
+/// Empirical Shannon entropy `H(attrs)` of a table (compound key).
 pub fn shannon_entropy(t: &Table, attrs: &AttrSet) -> Result<f64> {
-    shannon_entropy_with(&Executor::global(), t, attrs)
-}
-
-/// [`shannon_entropy`] on an explicit executor.
-pub fn shannon_entropy_with(exec: &Executor, t: &Table, attrs: &AttrSet) -> Result<f64> {
-    let g = group_ids_with(exec, t, attrs)?;
-    Ok(entropy_from_counts(
-        g.counts_with(exec),
-        t.num_rows() as u64,
-    ))
+    let g = group_ids(t, attrs)?;
+    Ok(entropy_from_counts(g.counts(), t.num_rows() as u64))
 }
 
 /// Joint entropy `H(X, Y)`.
@@ -85,26 +73,15 @@ pub fn conditional_entropy(t: &Table, x: &AttrSet, y: &AttrSet) -> Result<f64> {
     Ok((joint_entropy(t, x, y)? - shannon_entropy(t, y)?).max(0.0))
 }
 
-/// Mutual information `I(X; Y) = H(X) + H(Y) − H(X, Y)` (never negative), on
-/// the global executor.
+/// Mutual information `I(X; Y) = H(X) + H(Y) − H(X, Y)` (never negative).
 pub fn mutual_information(t: &Table, x: &AttrSet, y: &AttrSet) -> Result<f64> {
-    mutual_information_with(&Executor::global(), t, x, y)
-}
-
-/// [`mutual_information`] on an explicit executor.
-pub fn mutual_information_with(
-    exec: &Executor,
-    t: &Table,
-    x: &AttrSet,
-    y: &AttrSet,
-) -> Result<f64> {
-    let gx = group_ids_with(exec, t, x)?;
-    let gy = group_ids_with(exec, t, y)?;
-    let joint = gx.zip_with(exec, &gy);
+    let gx = group_ids(t, x)?;
+    let gy = group_ids(t, y)?;
+    let joint = gx.zip(&gy);
     let n = t.num_rows() as u64;
-    let hx = entropy_from_counts(gx.counts_with(exec), n);
-    let hy = entropy_from_counts(gy.counts_with(exec), n);
-    let hxy = entropy_from_counts(joint.grouping().counts_with(exec), n);
+    let hx = entropy_from_counts(gx.counts(), n);
+    let hy = entropy_from_counts(gy.counts(), n);
+    let hxy = entropy_from_counts(joint.grouping().counts(), n);
     Ok((hx + hy - hxy).max(0.0))
 }
 

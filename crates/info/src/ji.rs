@@ -38,8 +38,8 @@
 use std::collections::{btree_map, BTreeMap};
 
 use dance_relation::{
-    sym_counts_with, sym_joinable, AttrSet, Executor, FxHashMap, FxHashSet, Result, SymCounts,
-    SymKey, SymMatch, Table,
+    sym_counts, sym_joinable, AttrSet, FxHashMap, FxHashSet, Result, SymCounts, SymKey, SymMatch,
+    Table,
 };
 
 /// Degenerate-distribution conventions for JI (documented edge cases).
@@ -434,33 +434,22 @@ fn entropy_u128(counts: &[u128], n: u128) -> f64 {
     h.max(0.0)
 }
 
-/// `JI(D, D')` on join attributes `j` (Definition 2.4), on the global
-/// executor. Runs on interned symbols — no key materialization.
+/// `JI(D, D')` on join attributes `j` (Definition 2.4): one symbol
+/// histogram per table, then the JI fold over their distinct keys. Runs on
+/// interned symbols — no key materialization.
 ///
 /// Bound inherited from the symbol-key layout: at most
 /// [`dance_relation::sym::MAX_SYM_KEY_ATTRS`] (63) join attributes, since the
 /// NULL mask is one `u64` word; wider sets return an error. The join graph
 /// never asks for more: it skips wider candidate join sets.
 pub fn join_informativeness(d1: &Table, d2: &Table, j: &AttrSet) -> Result<f64> {
-    join_informativeness_with(&Executor::global(), d1, d2, j)
-}
-
-/// [`join_informativeness`] on an explicit executor: both per-table symbol
-/// histograms are built on its workers; the JI fold itself is a cheap pass
-/// over the distinct keys and stays sequential.
-pub fn join_informativeness_with(
-    exec: &Executor,
-    d1: &Table,
-    d2: &Table,
-    j: &AttrSet,
-) -> Result<f64> {
     if j.is_empty() {
         return Err(dance_relation::RelationError::InvalidJoin(
             "join informativeness needs a non-empty join attribute set".into(),
         ));
     }
-    let lc = sym_counts_with(exec, d1, j)?;
-    let rc = sym_counts_with(exec, d2, j)?;
+    let lc = sym_counts(d1, j)?;
+    let rc = sym_counts(d2, j)?;
     Ok(ji_from_sym_counts(&lc, &rc))
 }
 

@@ -28,7 +28,6 @@ pub use correlation::{correlation, correlation_with, CorrOptions};
 pub use cumulative::{conditional_cumulative_entropy, cumulative_entropy};
 pub use entropy::{
     conditional_entropy, entropy_from_counts, entropy_from_sym_counts, joint_entropy,
-    mi_from_sym_joint, mutual_information, mutual_information_with, shannon_entropy,
-    shannon_entropy_with,
+    mi_from_sym_joint, mutual_information, shannon_entropy,
 };
-pub use ji::{ji_from_sym_counts, join_informativeness, join_informativeness_with, PairPartials};
+pub use ji::{ji_from_sym_counts, join_informativeness, PairPartials};

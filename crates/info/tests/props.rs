@@ -1,10 +1,10 @@
 //! Property tests of the information-theoretic measures.
 
 use dance_info::{
-    conditional_entropy, entropy_from_counts, join_informativeness, join_informativeness_with,
-    mutual_information, mutual_information_with, shannon_entropy, shannon_entropy_with,
+    conditional_entropy, entropy_from_counts, join_informativeness, mutual_information,
+    shannon_entropy,
 };
-use dance_relation::{AttrSet, Executor, InternerRegistry, Table, Value, ValueType};
+use dance_relation::{AttrSet, InternerRegistry, Table, Value, ValueType};
 use proptest::prelude::*;
 
 fn arb_table() -> impl Strategy<Value = Table> {
@@ -132,11 +132,6 @@ proptest! {
             prop_assert_eq!(sym.to_bits(), keyed.to_bits(),
                 "sym {} vs keyed {}", sym, keyed);
         }
-        for threads in [1usize, 4] {
-            let exec = Executor::with_grain(threads, 1);
-            let sym = join_informativeness_with(&exec, &ia, &ib, &j).unwrap();
-            prop_assert_eq!(sym.to_bits(), keyed.to_bits(), "at {} threads", threads);
-        }
     }
 
     /// Interning never moves a single bit of the single-table measures: H,
@@ -156,31 +151,6 @@ proptest! {
         let mi_plain = mutual_information(&t, &x, &y).unwrap();
         let mi_interned = mutual_information(&it, &x, &y).unwrap();
         prop_assert_eq!(mi_plain.to_bits(), mi_interned.to_bits());
-    }
-
-    /// Every measure computed on a chunked parallel executor is
-    /// **bit-identical** to the sequential result: H, joint H, MI and JI at
-    /// thread counts {1, 2, 3, 8} on typed tables with NULLs. The grouping
-    /// is identical by construction and every downstream float fold consumes
-    /// counts in the same order, so `to_bits` equality must hold.
-    #[test]
-    fn parallel_measures_bit_identical(a in arb_typed_table(), b in arb_typed_table()) {
-        let seq = Executor::sequential();
-        let x = AttrSet::from_names(["pt_x"]);
-        let y = AttrSet::from_names(["pt_y"]);
-        let xy = x.union(&y);
-        let h_ref = shannon_entropy_with(&seq, &a, &xy).unwrap();
-        let mi_ref = mutual_information_with(&seq, &a, &x, &y).unwrap();
-        let ji_ref = join_informativeness_with(&seq, &a, &b, &x).unwrap();
-        for threads in [1usize, 2, 3, 8] {
-            let exec = Executor::with_grain(threads, 1);
-            let h = shannon_entropy_with(&exec, &a, &xy).unwrap();
-            prop_assert_eq!(h.to_bits(), h_ref.to_bits(), "H diverged at {} threads", threads);
-            let mi = mutual_information_with(&exec, &a, &x, &y).unwrap();
-            prop_assert_eq!(mi.to_bits(), mi_ref.to_bits(), "MI diverged at {} threads", threads);
-            let ji = join_informativeness_with(&exec, &a, &b, &x).unwrap();
-            prop_assert_eq!(ji.to_bits(), ji_ref.to_bits(), "JI diverged at {} threads", threads);
-        }
     }
 
     /// Self-correlation is non-negative and bounded by the relevant entropy:

@@ -51,7 +51,7 @@ pub use client::{RetryPolicy, WireClient, WireClientBuilder};
 pub use marketplace::{CatalogSnapshot, Marketplace};
 pub use pricing::{EntropyPricing, PricingModel};
 pub use query::ProjectionQuery;
-pub use server::{BacklogPolicy, RateLimit, Server, ServerConfig};
+pub use server::{RateLimit, Server, ServerConfig};
 pub use session::{
     ManagerStats, Purchase, PurchaseKind, Session, SessionConfig, SessionError, SessionId,
     SessionManager, SessionManagerConfig, SessionReport, SessionResult, SessionToken,

@@ -4,9 +4,9 @@
 //! Architecture (std-only, like `dance-executor` — no async runtime):
 //!
 //! * one **acceptor** thread takes connections off a `TcpListener` and
-//!   pushes them onto a bounded backlog queue — when the queue is full the
-//!   configured policy either blocks the acceptor (queue) or answers the
-//!   connection with a single `Rejected` fault frame and drops it (reject);
+//!   pushes them onto a bounded backlog queue — when the queue is full it
+//!   answers the connection with a single `Rejected` fault frame and drops
+//!   it;
 //! * a fixed pool of **worker** threads pops connections and serves each to
 //!   completion. One connection is owned by one worker at a time, so the
 //!   sessions opened on it live in plain worker-local state and the session
@@ -76,24 +76,15 @@ pub struct RateLimit {
     pub burst: f64,
 }
 
-/// What the acceptor does when the backlog queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BacklogPolicy {
-    /// Block the acceptor until a worker frees a slot.
-    Queue,
-    /// Answer the connection with one `Rejected` fault frame and drop it.
-    Reject,
-}
-
 /// Server knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Worker threads serving connections.
     pub workers: usize,
     /// Bounded accept-backlog capacity (connections waiting for a worker).
+    /// A connection arriving at a full backlog is answered with one
+    /// `Rejected` fault frame and dropped.
     pub backlog: usize,
-    /// Queue-or-reject policy when the backlog is full.
-    pub on_full: BacklogPolicy,
     /// Optional per-shopper token-bucket rate limit.
     pub rate_limit: Option<RateLimit>,
     /// Frame payload cap enforced at the header.
@@ -113,7 +104,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 4,
             backlog: 64,
-            on_full: BacklogPolicy::Reject,
             rate_limit: None,
             max_payload: DEFAULT_MAX_PAYLOAD,
             io_deadline: Duration::from_secs(5),
@@ -340,7 +330,6 @@ struct Shared {
     stop: AtomicBool,
     queue: Mutex<VecDeque<(u64, TcpStream)>>,
     not_empty: Condvar,
-    not_full: Condvar,
     counters: Counters,
     buckets: Mutex<HashMap<u64, TokenBucket>>,
     registry: Mutex<Registry>,
@@ -427,7 +416,6 @@ impl Server {
             stop: AtomicBool::new(false),
             queue: Mutex::new(VecDeque::with_capacity(cfg.backlog)),
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
             counters: Counters::default(),
             buckets: Mutex::new(HashMap::with_capacity(64)),
             registry: Mutex::new(Registry::default()),
@@ -473,7 +461,6 @@ impl Server {
         // its stop-check and its condvar wait.
         drop(self.shared.queue.lock().unwrap());
         self.shared.not_empty.notify_all();
-        self.shared.not_full.notify_all();
         if let Some(a) = self.acceptor.take() {
             drop(a.join());
         }
@@ -493,25 +480,13 @@ fn accept_loop(shared: &Shared, listener: TcpListener) {
         let Ok((stream, _)) = conn else { continue };
         let mut q = shared.queue.lock().unwrap();
         if q.len() >= shared.cfg.backlog {
-            match shared.cfg.on_full {
-                BacklogPolicy::Reject => {
-                    drop(q);
-                    shared
-                        .counters
-                        .connections_rejected
-                        .fetch_add(1, Ordering::Relaxed);
-                    reject_connection(stream);
-                    continue;
-                }
-                BacklogPolicy::Queue => {
-                    while q.len() >= shared.cfg.backlog {
-                        if shared.stop.load(Ordering::Acquire) {
-                            return;
-                        }
-                        q = shared.not_full.wait(q).unwrap();
-                    }
-                }
-            }
+            drop(q);
+            shared
+                .counters
+                .connections_rejected
+                .fetch_add(1, Ordering::Relaxed);
+            reject_connection(stream);
+            continue;
         }
         let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
         q.push_back((conn_id, stream));
@@ -571,7 +546,6 @@ fn next_connection(shared: &Shared) -> Option<(u64, TcpStream)> {
             return None;
         }
         if let Some(conn) = q.pop_front() {
-            shared.not_full.notify_one();
             return Some(conn);
         }
         q = shared.not_empty.wait(q).unwrap();
@@ -1454,7 +1428,6 @@ mod tests {
             ServerConfig {
                 workers: 1,
                 backlog: 1,
-                on_full: BacklogPolicy::Reject,
                 ..ServerConfig::default()
             },
         )

@@ -29,8 +29,8 @@
 
 use crate::fd::Fd;
 use crate::tane::{DiscoveredFd, TaneConfig};
-use dance_relation::group::{column_codes_with, fold_codes_with};
-use dance_relation::{AttrId, AttrSet, Executor, FxHashSet, Result, Table};
+use dance_relation::group::{column_codes, fold_codes};
+use dance_relation::{AttrId, AttrSet, FxHashSet, Result, Table};
 
 /// Multi-row classes of a partition `π_X` (singletons stripped) in CSR form:
 /// class `c` is `rows[bounds[c]..bounds[c + 1]]`, ascending within a class.
@@ -76,14 +76,14 @@ impl Classes {
     /// `π_{X∪A}` from `π_X = self` and `A`'s ids: only support rows can share
     /// a class of the product, so `(class, A id)` pairs are folded over them
     /// alone.
-    fn refine(&self, exec: &Executor, a: &[u32]) -> Classes {
+    fn refine(&self, a: &[u32]) -> Classes {
         let mut ids: Vec<u32> = Vec::with_capacity(self.rows.len());
         for (c, class) in self.iter().enumerate() {
             ids.extend(std::iter::repeat_n(c as u32, class.len()));
         }
         let codes: Vec<u32> = self.rows.iter().map(|&r| a[r as usize]).collect();
         let mut num = self.len() as u32;
-        fold_codes_with(exec, &mut ids, &mut num, &codes);
+        fold_codes(&mut ids, &mut num, &codes);
         Classes::group(&ids, num as usize, |k| self.rows[k])
     }
 
@@ -108,7 +108,6 @@ impl Classes {
 /// counting scratch every `(X, A)` pair shares.
 struct Kernel<'t> {
     t: &'t Table,
-    exec: Executor,
     /// Per schema column: `(ids, number of distinct ids)` once encoded.
     ids: Vec<Option<(Vec<u32>, usize)>>,
     /// Rows per `A` id within the current class (zero outside it).
@@ -123,7 +122,6 @@ impl<'t> Kernel<'t> {
     fn new(t: &'t Table) -> Kernel<'t> {
         Kernel {
             t,
-            exec: Executor::global(),
             ids: vec![None; t.schema().len()],
             counts: Vec::new(),
             touched: Vec::new(),
@@ -135,7 +133,7 @@ impl<'t> Kernel<'t> {
     fn load(&mut self, a: AttrId) -> Result<usize> {
         let col = self.t.schema().require(a)?;
         if self.ids[col].is_none() {
-            let (codes, num) = column_codes_with(&self.exec, self.t.column(col));
+            let (codes, num) = column_codes(self.t.column(col));
             self.ids[col] = Some((codes, num as usize));
         }
         Ok(col)
@@ -158,7 +156,7 @@ impl<'t> Kernel<'t> {
         let mut classes = Classes::group(ids, num, |r| r as u32);
         for &a in rest {
             let col = self.load(a)?;
-            classes = classes.refine(&self.exec, self.ids(col).0);
+            classes = classes.refine(self.ids(col).0);
         }
         Ok(classes)
     }
@@ -312,7 +310,7 @@ pub(crate) fn discover(
                     }
                     let mut xa = x.clone();
                     xa.insert(a);
-                    next.push((xa, cx.refine(&k.exec, k.ids(col).0)));
+                    next.push((xa, cx.refine(k.ids(col).0)));
                 }
             }
         }

@@ -85,9 +85,8 @@ impl TableDelta {
 
     /// Surviving pre-delta rows as maximal contiguous `[start, end)` runs —
     /// [`Self::kept`] compressed. Sparse deletions leave long runs, so
-    /// run-based gathers ([`Table::gather_runs`],
-    /// [`crate::sel::PairSel::patch_probe`]) copy slices instead of indexing
-    /// per element.
+    /// [`Table::apply_delta`]'s run-based gather ([`Table::gather_runs`])
+    /// copies slices instead of indexing per element.
     pub fn kept_runs(&self, nrows: usize) -> Result<Vec<(u32, u32)>> {
         self.check_bounds(nrows)?;
         let mut runs = Vec::with_capacity(self.deleted.len() + 1);

@@ -25,20 +25,9 @@
 //! (JI) reads one symbol key per *group* off the representative rows
 //! ([`crate::sym`]).
 //!
-//! ## Parallel execution
-//!
-//! Every encoding pass is chunked across the workers of a
-//! [`dance_executor::Executor`] (the `_with` variants take one explicitly; the
-//! plain functions use [`Executor::global`], i.e. `DANCE_THREADS`). Each chunk
-//! builds a **local dictionary** in local first-occurrence order; the chunk
-//! dictionaries are then merged **in chunk order** into the global dictionary,
-//! and chunk codes are rewritten through the resulting remaps. Because chunks
-//! cover contiguous, ascending row ranges, "first occurrence across merged
-//! chunk dictionaries" is exactly "first occurrence across rows" — so the
-//! parallel output is **bit-identical** to the sequential encoding at every
-//! thread count and chunk size (property-tested in `tests/props.rs`). Counting
-//! ([`Grouping::counts`]) accumulates per-worker dense buffers and sums them,
-//! which is exact for integer counts.
+//! Every pass here runs sequentially on the calling thread: DANCE estimates
+//! on the samples it bought, and splitting these passes across threads lost
+//! to the single pass at every measured thread count.
 
 use crate::column::{Column, ColumnData};
 use crate::error::Result;
@@ -46,7 +35,6 @@ use crate::hash::FxHashMap;
 use crate::schema::AttrSet;
 use crate::table::Table;
 use crate::value::Value;
-use dance_executor::Executor;
 use std::hash::Hash;
 
 /// Row → dense group id assignment over some attribute set.
@@ -77,46 +65,13 @@ impl Grouping {
         self.ids.is_empty()
     }
 
-    /// Rows per group, indexed by group id (the dense histogram), on the
-    /// global executor.
+    /// Rows per group, indexed by group id (the dense histogram).
     pub fn counts(&self) -> Vec<u64> {
-        self.counts_with(&Executor::global())
-    }
-
-    /// [`Self::counts`] on an explicit executor: each worker accumulates a
-    /// dense per-chunk count buffer; buffers are summed at the end. Integer
-    /// addition is exact, so the result is identical at every thread count.
-    ///
-    /// High-cardinality groupings fall back to the single inline pass: with
-    /// `W` workers the parallel path pays `W × num_groups` extra zeroing and
-    /// merge additions, which only amortizes while groups are (well) fewer
-    /// than rows per worker — a near-unique key would otherwise do several
-    /// times the sequential work.
-    pub fn counts_with(&self, exec: &Executor) -> Vec<u64> {
-        let num_groups = self.num_groups as usize;
-        let workers = exec.workers_for(self.ids.len());
-        if workers <= 1 || num_groups >= self.ids.len() / workers {
-            let mut counts = vec![0u64; num_groups];
-            for &g in &self.ids {
-                counts[g as usize] += 1;
-            }
-            return counts;
+        let mut counts = vec![0u64; self.num_groups as usize];
+        for &g in &self.ids {
+            counts[g as usize] += 1;
         }
-        let chunks = exec.par_chunks(&self.ids, |_, ids| {
-            let mut counts = vec![0u64; num_groups];
-            for &g in ids {
-                counts[g as usize] += 1;
-            }
-            counts
-        });
-        let mut chunks = chunks.into_iter();
-        let mut total = chunks.next().expect("par_chunks yields at least one chunk");
-        for partial in chunks {
-            for (t, p) in total.iter_mut().zip(partial) {
-                *t += p;
-            }
-        }
-        total
+        counts
     }
 
     /// First row of each group, indexed by group id.
@@ -134,21 +89,16 @@ impl Grouping {
     }
 
     /// Joint grouping over `(self, other)` id pairs (both must cover the same
-    /// rows), on the global executor. The result's groups are the distinct id
-    /// pairs; use [`JointGrouping::x_of`]/[`JointGrouping::y_of`] to recover
-    /// the marginal ids of each joint group.
+    /// rows). The result's groups are the distinct id pairs; use
+    /// [`JointGrouping::x_of`]/[`JointGrouping::y_of`] to recover the
+    /// marginal ids of each joint group.
     pub fn zip(&self, other: &Grouping) -> JointGrouping {
-        self.zip_with(&Executor::global(), other)
-    }
-
-    /// [`Self::zip`] on an explicit executor.
-    pub fn zip_with(&self, exec: &Executor, other: &Grouping) -> JointGrouping {
         assert_eq!(
             self.ids.len(),
             other.ids.len(),
             "groupings cover different row sets"
         );
-        let (ids, keys) = encode_with_dict(exec, self.ids.len(), HashDict::<u64>::default, |r| {
+        let (ids, keys) = encode_with_dict(HashDict::<u64>::default(), self.ids.len(), |r| {
             pack_pair(self.ids[r], other.ids[r])
         });
         JointGrouping {
@@ -188,13 +138,11 @@ impl JointGrouping {
 }
 
 /// A first-occurrence-order dense id assigner. The two implementations share
-/// the chunked encode scaffold ([`encode_with_dict`]): hash-based for
-/// arbitrary fixed-width keys, `Vec`-remap-based for keys that are already
-/// small dense codes (`Str` dictionary slots — no hashing at all).
+/// the encode loop ([`encode_with_dict`]): hash-based for arbitrary
+/// fixed-width keys, `Vec`-remap-based for keys that are already small dense
+/// codes (`Str` dictionary slots — no hashing at all).
 trait Dict {
-    /// Key type; `Send + Sync` so per-chunk key lists can cross worker
-    /// boundaries and be read during the shared remap pass.
-    type Key: Copy + Send + Sync;
+    type Key: Copy;
     /// Dense id of `k`, assigning the next id on first sight.
     fn intern(&mut self, k: Self::Key) -> u32;
     /// Distinct keys interned so far, in id order.
@@ -217,7 +165,7 @@ impl<K> Default for HashDict<K> {
     }
 }
 
-impl<K: Hash + Eq + Copy + Send + Sync> Dict for HashDict<K> {
+impl<K: Hash + Eq + Copy> Dict for HashDict<K> {
     type Key = K;
 
     #[inline]
@@ -269,65 +217,29 @@ impl Dict for SlotDict {
     }
 }
 
-/// The chunked first-occurrence encode shared by every kernel here.
-///
-/// Sequential executors (or inputs below the executor's grain) run one inline
-/// pass. Otherwise rows are chunked across workers; each worker interns its
-/// chunk through a fresh local dictionary, the local dictionaries are merged
-/// **in chunk order** into a global one (so global ids are in global
-/// first-occurrence order — chunks cover ascending row ranges), and each
-/// chunk's codes are rewritten through its remap in parallel. Returns the
-/// per-row dense codes and the distinct keys in id order.
+/// The first-occurrence encode shared by every kernel here: interns the key
+/// of each row `0..n` through `dict` and returns the per-row dense codes and
+/// the distinct keys in id order.
 fn encode_with_dict<D: Dict>(
-    exec: &Executor,
+    mut dict: D,
     n: usize,
-    make_dict: impl Fn() -> D + Sync,
-    key_of: impl Fn(usize) -> D::Key + Sync,
+    key_of: impl Fn(usize) -> D::Key,
 ) -> (Vec<u32>, Vec<D::Key>) {
-    let encode_range = |range: std::ops::Range<usize>| {
-        let mut dict = make_dict();
-        let mut codes = Vec::with_capacity(range.len());
-        for r in range {
-            codes.push(dict.intern(key_of(r)));
-        }
-        (codes, dict.into_keys())
-    };
-    if exec.workers_for(n) <= 1 {
-        return encode_range(0..n);
+    let mut codes = Vec::with_capacity(n);
+    for r in 0..n {
+        codes.push(dict.intern(key_of(r)));
     }
-    let chunks = exec.par_ranges(n, |_, range| encode_range(range));
-    let mut global = make_dict();
-    let remaps: Vec<Vec<u32>> = chunks
-        .iter()
-        .map(|(_, keys)| keys.iter().map(|&k| global.intern(k)).collect())
-        .collect();
-    // Remap straight into the final buffer: `par_chunks_mut` over the same
-    // `(n, executor)` reproduces phase 1's chunk boundaries, so worker `w`'s
-    // output slice lines up with `chunks[w]` — no sequential concat tail.
-    let mut out = vec![0u32; n];
-    exec.par_chunks_mut(&mut out, |w, _, slice| {
-        let remap = &remaps[w];
-        for (o, &c) in slice.iter_mut().zip(&chunks[w].0) {
-            *o = remap[c as usize];
-        }
-    });
-    (out, global.into_keys())
+    (codes, dict.into_keys())
 }
 
 /// Dense per-column codes with NULL as its own code; second component is an
-/// upper bound on the code space (`codes[r] < cardinality`). Runs on the
-/// global executor.
+/// upper bound on the code space (`codes[r] < cardinality`).
 ///
 /// `Str` columns reuse their dictionary codes via a `Vec` remap (no hashing);
 /// `Int`/`Float` columns hash fixed-width words. Float identity follows
 /// [`Value`]'s canonicalization (−0.0 ≡ +0.0, all NaNs equal). Codes are
 /// assigned in first-occurrence order.
 pub fn column_codes(col: &Column) -> (Vec<u32>, u32) {
-    column_codes_with(&Executor::global(), col)
-}
-
-/// [`column_codes`] on an explicit executor.
-pub fn column_codes_with(exec: &Executor, col: &Column) -> (Vec<u32>, u32) {
     let n = col.len();
     // NULL folds into the key space ((true, _) for hashed keys, the extra
     // dictionary slot for Str), so it claims its dense code at its first
@@ -339,42 +251,21 @@ pub fn column_codes_with(exec: &Executor, col: &Column) -> (Vec<u32>, u32) {
             // still a valid NULL sentinel because codes stored in the column
             // were assigned while the (append-only) dictionary was no larger.
             let null_slot = dict.len() as u32;
+            let slot_of = |r| if col.is_null(r) { null_slot } else { raw[r] };
             if null_slot as usize > 4 * n + 64 {
-                // A slot remap would allocate dictionary-sized scratch per
-                // chunk for a column that cannot contain most of those slots;
-                // hash the codes like any other word key instead.
-                let (codes, keys) = encode_with_dict(exec, n, HashDict::<u32>::default, |r| {
-                    if col.is_null(r) {
-                        null_slot
-                    } else {
-                        raw[r]
-                    }
-                });
+                // A slot remap would allocate dictionary-sized scratch for a
+                // column that cannot contain most of those slots; hash the
+                // codes like any other word key instead.
+                let (codes, keys) = encode_with_dict(HashDict::<u32>::default(), n, slot_of);
                 (codes, keys.len())
             } else {
-                // Every chunk's SlotDict holds a dictionary-sized remap, so a
-                // near-unique dictionary would pay `W × dict.len()` zeroing
-                // for rows that mostly appear once per chunk anyway — same
-                // fallback rule as `Grouping::counts_with`.
-                let seq;
-                let workers = exec.workers_for(n);
-                let exec = if workers > 1 && null_slot as usize >= n / workers {
-                    seq = Executor::sequential();
-                    &seq
-                } else {
-                    exec
-                };
-                let (codes, slots) = encode_with_dict(
-                    exec,
-                    n,
-                    || SlotDict::new(null_slot as usize + 1),
-                    |r| if col.is_null(r) { null_slot } else { raw[r] },
-                );
+                let (codes, slots) =
+                    encode_with_dict(SlotDict::new(null_slot as usize + 1), n, slot_of);
                 (codes, slots.len())
             }
         }
         ColumnData::Int(raw) => {
-            let (codes, keys) = encode_with_dict(exec, n, HashDict::<(bool, i64)>::default, |r| {
+            let (codes, keys) = encode_with_dict(HashDict::<(bool, i64)>::default(), n, |r| {
                 if col.is_null(r) {
                     (true, 0)
                 } else {
@@ -384,7 +275,7 @@ pub fn column_codes_with(exec: &Executor, col: &Column) -> (Vec<u32>, u32) {
             (codes, keys.len())
         }
         ColumnData::Float(raw) => {
-            let (codes, keys) = encode_with_dict(exec, n, HashDict::<(bool, u64)>::default, |r| {
+            let (codes, keys) = encode_with_dict(HashDict::<(bool, u64)>::default(), n, |r| {
                 if col.is_null(r) {
                     (true, 0)
                 } else {
@@ -410,53 +301,21 @@ fn pack_pair(a: u32, b: u32) -> u64 {
 /// `ids` and `codes` must cover the same rows. Codes need not be dense. Used
 /// here for multi-column grouping, by `dance-info` to combine discretized
 /// conditioning columns and joint code distributions, and by `dance-quality`
-/// for the dense partition product. Runs on the global executor.
+/// for the dense partition product. The folded id overwrites the old one
+/// row by row, in place.
 pub fn fold_codes(ids: &mut [u32], num_groups: &mut u32, codes: &[u32]) {
-    fold_codes_with(&Executor::global(), ids, num_groups, codes)
-}
-
-/// [`fold_codes`] on an explicit executor.
-pub fn fold_codes_with(exec: &Executor, ids: &mut [u32], num_groups: &mut u32, codes: &[u32]) {
     assert_eq!(
         ids.len(),
         codes.len(),
         "code layers cover different row sets"
     );
-    if exec.workers_for(ids.len()) <= 1 {
-        // In place: the folded id overwrites the old one row by row.
-        let mut index: FxHashMap<u64, u32> = FxHashMap::default();
-        for (id, &c) in ids.iter_mut().zip(codes) {
-            let key = pack_pair(*id, c);
-            let next = index.len() as u32;
-            *id = *index.entry(key).or_insert(next);
-        }
-        *num_groups = index.len() as u32;
-        return;
+    let mut index: FxHashMap<u64, u32> = FxHashMap::default();
+    for (id, &c) in ids.iter_mut().zip(codes) {
+        let key = pack_pair(*id, c);
+        let next = index.len() as u32;
+        *id = *index.entry(key).or_insert(next);
     }
-    // The parallel fold stays in place too: phase 1 overwrites each chunk of
-    // `ids` with local codes (the chunk offset aligns the companion `codes`
-    // slice), phase 2 merges the local dictionaries in chunk order, phase 3
-    // rewrites each chunk through its remap. Same three phases as
-    // [`encode_with_dict`], minus the scratch output buffer.
-    let chunk_keys: Vec<Vec<u64>> = exec.par_chunks_mut(ids, |_, start, chunk| {
-        let mut dict = HashDict::<u64>::default();
-        for (k, id) in chunk.iter_mut().enumerate() {
-            *id = dict.intern(pack_pair(*id, codes[start + k]));
-        }
-        dict.into_keys()
-    });
-    let mut global = HashDict::<u64>::default();
-    let remaps: Vec<Vec<u32>> = chunk_keys
-        .iter()
-        .map(|keys| keys.iter().map(|&k| global.intern(k)).collect())
-        .collect();
-    exec.par_chunks_mut(ids, |w, _, chunk| {
-        let remap = &remaps[w];
-        for id in chunk.iter_mut() {
-            *id = remap[*id as usize];
-        }
-    });
-    *num_groups = global.into_keys().len() as u32;
+    *num_groups = index.len() as u32;
 }
 
 /// Dense view of an arbitrary code slice: returns `(labels, num_groups)`
@@ -478,15 +337,9 @@ pub fn ensure_dense(codes: &[u32]) -> (std::borrow::Cow<'_, [u32]>, u32) {
 }
 
 /// Assign every row of `t` a dense group id over `attrs` (one pass per
-/// attribute column), on the global executor. An empty `attrs` puts all rows
-/// in a single group (every row has the same, empty, key).
+/// attribute column). An empty `attrs` puts all rows in a single group
+/// (every row has the same, empty, key).
 pub fn group_ids(t: &Table, attrs: &AttrSet) -> Result<Grouping> {
-    group_ids_with(&Executor::global(), t, attrs)
-}
-
-/// [`group_ids`] on an explicit executor. Output is bit-identical at every
-/// thread count (see the module docs).
-pub fn group_ids_with(exec: &Executor, t: &Table, attrs: &AttrSet) -> Result<Grouping> {
     let cols = t.attr_indices(attrs)?;
     let n = t.num_rows();
     if n == 0 {
@@ -501,13 +354,13 @@ pub fn group_ids_with(exec: &Executor, t: &Table, attrs: &AttrSet) -> Result<Gro
             num_groups: 1,
         });
     };
-    let (mut ids, mut num_groups) = column_codes_with(exec, t.column(first));
+    let (mut ids, mut num_groups) = column_codes(t.column(first));
     for &c in rest {
         if num_groups as usize == n {
             break; // already fully distinct; further columns cannot split
         }
-        let (codes, _) = column_codes_with(exec, t.column(c));
-        fold_codes_with(exec, &mut ids, &mut num_groups, &codes);
+        let (codes, _) = column_codes(t.column(c));
+        fold_codes(&mut ids, &mut num_groups, &codes);
     }
     Ok(Grouping { ids, num_groups })
 }
@@ -626,7 +479,7 @@ mod tests {
     /// A registry-shared dictionary can dwarf the column it encodes; past
     /// `4n + 64` entries the Str path switches from the SlotDict remap to
     /// hashed codes. The fallback must produce the identical first-occurrence
-    /// encoding — with NULLs, sequentially and chunked.
+    /// encoding — with NULLs.
     #[test]
     fn oversized_shared_dict_hash_fallback_matches_slot_path() {
         use crate::interner::InternerRegistry;
@@ -655,57 +508,9 @@ mod tests {
             ColumnData::Str(_, d) => assert!(d.len() > 4 * 12 + 64, "fallback branch not reached"),
             _ => unreachable!(),
         }
-        for exec in [Executor::sequential(), Executor::with_grain(4, 1)] {
-            let g = group_ids_with(&exec, &big, &AttrSet::from_names(["grp_fallback"])).unwrap();
-            assert_eq!(g.ids(), reference.ids());
-            assert_eq!(g.num_groups(), reference.num_groups());
-            assert_eq!(g.counts(), reference.counts());
-        }
-    }
-
-    /// The chunked encode must reproduce the sequential encoding exactly,
-    /// including on inputs smaller than a chunk and with every key type.
-    #[test]
-    fn chunked_encode_is_bit_identical_to_sequential() {
-        let table = t();
-        let seq = Executor::sequential();
-        for attrs in [
-            AttrSet::from_names(["grp_s"]),
-            AttrSet::from_names(["grp_i"]),
-            AttrSet::from_names(["grp_f"]),
-            AttrSet::from_names(["grp_s", "grp_i", "grp_f"]),
-        ] {
-            let reference = group_ids_with(&seq, &table, &attrs).unwrap();
-            for threads in [2usize, 3, 8] {
-                let par = Executor::with_grain(threads, 1);
-                let g = group_ids_with(&par, &table, &attrs).unwrap();
-                assert_eq!(g.ids(), reference.ids(), "{attrs} at {threads} threads");
-                assert_eq!(g.num_groups(), reference.num_groups());
-                assert_eq!(g.counts_with(&par), reference.counts_with(&seq));
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_zip_and_fold_match_sequential() {
-        let table = t();
-        let seq = Executor::sequential();
-        let par = Executor::with_grain(4, 1);
-        let gs = group_ids_with(&seq, &table, &AttrSet::from_names(["grp_s"])).unwrap();
-        let gi = group_ids_with(&seq, &table, &AttrSet::from_names(["grp_i"])).unwrap();
-        let a = gs.zip_with(&seq, &gi);
-        let b = gs.zip_with(&par, &gi);
-        assert_eq!(a.grouping().ids(), b.grouping().ids());
-        assert_eq!(a.x_of, b.x_of);
-        assert_eq!(a.y_of, b.y_of);
-
-        let (codes, _) = column_codes_with(&par, table.column(1));
-        let mut ids_a = gs.ids().to_vec();
-        let mut ids_b = gs.ids().to_vec();
-        let (mut na, mut nb) = (gs.num_groups as u32, gs.num_groups as u32);
-        fold_codes_with(&seq, &mut ids_a, &mut na, &codes);
-        fold_codes_with(&par, &mut ids_b, &mut nb, &codes);
-        assert_eq!(ids_a, ids_b);
-        assert_eq!(na, nb);
+        let g = group_ids(&big, &AttrSet::from_names(["grp_fallback"])).unwrap();
+        assert_eq!(g.ids(), reference.ids());
+        assert_eq!(g.num_groups(), reference.num_groups());
+        assert_eq!(g.counts(), reference.counts());
     }
 }

@@ -29,7 +29,6 @@ use crate::error::{RelationError, Result};
 use crate::schema::AttrSet;
 use crate::sel::{join_sel_cols, materialize_join_cols, validate_on};
 use crate::table::Table;
-use dance_executor::Executor;
 
 /// Join flavour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +43,7 @@ pub enum JoinKind {
 /// ([`crate::sel::join_sel`]) plus one materialization, validated once.
 pub fn hash_join(left: &Table, right: &Table, on: &AttrSet, kind: JoinKind) -> Result<Table> {
     let (lcols, rcols) = validate_on(left, right, on)?;
-    let sel = join_sel_cols(&Executor::global(), left, right, &lcols, &rcols, kind);
+    let sel = join_sel_cols(left, right, &lcols, &rcols, kind);
     materialize_join_cols(left, right, on, &lcols, &rcols, &sel)
 }
 

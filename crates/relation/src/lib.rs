@@ -55,20 +55,23 @@ pub mod value;
 
 pub use bitmap::Bitmap;
 pub use column::{Column, ColumnBuilder, ColumnCells, ColumnData, StrDict, StrDictReader};
+/// The coarse work-item executor, re-exported for the crates that fan work
+/// out over it (join-graph re-weighing, multi-chain MCMC); every kernel in
+/// this crate runs sequentially.
 pub use dance_executor::Executor;
 pub use delta::TableDelta;
 pub use error::{RelationError, Result};
-pub use group::{group_ids, group_ids_with, Grouping, JointGrouping};
+pub use group::{group_ids, Grouping, JointGrouping};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use interner::InternerRegistry;
 pub use schema::{attr, AttrId, AttrSet, Attribute, Schema};
 pub use sel::{
-    join_sel, join_sel_with, join_tree_late, join_tree_late_with, materialize_join, pair_sel,
-    pair_sel_with, HopPlan, JoinSel, PairSel, TreeJoin, TreeSel, NO_ROW,
+    join_sel, join_tree_late, materialize_join, pair_sel, HopPlan, JoinSel, PairSel, TreeJoin,
+    TreeSel, NO_ROW,
 };
 pub use sym::{
-    sym_counts, sym_counts_with, sym_joinable, sym_joint_counts, sym_joint_counts_with, SymCounts,
-    SymJointCounts, SymKey, SymMatch, SymTranslator,
+    sym_counts, sym_joinable, sym_joint_counts, SymCounts, SymJointCounts, SymKey, SymMatch,
+    SymTranslator,
 };
 pub use table::Table;
 pub use value::{Value, ValueType};

@@ -26,10 +26,10 @@
 //!
 //! Output row order, schema order and values are identical to joining and
 //! materializing hop by hop on value keys; integration tests pin both the
-//! pair join and the tree join against such a reference. Probe, composition
-//! and materialization fan out
-//! over a [`dance_executor::Executor`] in chunk/item order, so results are
-//! bit-identical at every thread count.
+//! pair join and the tree join against such a reference. Build, probe,
+//! composition and materialization run sequentially on the calling thread:
+//! the joined inputs are samples, and chunking them across threads lost to
+//! the single pass at every measured thread count.
 
 use crate::column::{Column, ColumnData, StrDict};
 use crate::error::{RelationError, Result};
@@ -38,7 +38,6 @@ use crate::join::{JoinEdge, JoinKind};
 use crate::schema::{AttrSet, Attribute, Schema};
 use crate::table::Table;
 use crate::value::Value;
-use dance_executor::Executor;
 use std::sync::Arc;
 
 /// Row-id sentinel marking a null-extended (outer-join) output row.
@@ -243,33 +242,12 @@ impl BuildMap {
             BuildMap::Many(m) => m.get(key).map(Vec::as_slice),
         }
     }
-
-    /// Fold `other` (built over a strictly later row range) into `self`:
-    /// per-key row lists concatenate in chunk order, so the merged map is
-    /// indistinguishable from a sequential build over the union of ranges.
-    fn merge(&mut self, other: BuildMap) {
-        match (self, other) {
-            (BuildMap::One(a), BuildMap::One(b)) => {
-                for (k, rows) in b {
-                    a.entry(k).or_default().extend(rows);
-                }
-            }
-            (BuildMap::Many(a), BuildMap::Many(b)) => {
-                for (k, rows) in b {
-                    a.entry(k).or_default().extend(rows);
-                }
-            }
-            _ => unreachable!("merged build maps always share the key width"),
-        }
-    }
 }
 
-/// Sequential build of the right-side map over one row range.
-fn build_side_range(
-    right: &Table,
-    rcols: &[usize],
-    rows: std::ops::Range<usize>,
-) -> (BuildMap, Vec<u32>) {
+/// Build the right-side map over `rcols` in the right table's native symbol
+/// space. Returns the map plus the right rows with a NULL key (they never
+/// match; full-outer joins append them last, in row order).
+fn build_side(right: &Table, rcols: &[usize]) -> (BuildMap, Vec<u32>) {
     let sources: Vec<KeySource<'_>> = rcols
         .iter()
         .map(|&c| native_source(right.column(c)))
@@ -277,7 +255,7 @@ fn build_side_range(
     let mut map = BuildMap::new(sources.len());
     let mut null_rows: Vec<u32> = Vec::new();
     let mut key = vec![0u64; sources.len()];
-    'rows: for r in rows {
+    'rows: for r in 0..right.num_rows() {
         for (pos, s) in sources.iter().enumerate() {
             if s.is_null(r) {
                 null_rows.push(r as u32);
@@ -286,29 +264,6 @@ fn build_side_range(
             key[pos] = s.word(r).expect("native words always resolve");
         }
         map.insert(&key, r as u32);
-    }
-    (map, null_rows)
-}
-
-/// Build the right-side map over `rcols` in the right table's native symbol
-/// space, partitioned across `exec`: each worker builds a local map over a
-/// contiguous (ascending) row range and the per-chunk maps are merged in
-/// chunk order, so every key's row list — and the NULL-row list — is
-/// bit-identical to the sequential build at any thread count. Returns the
-/// map plus the right rows with a NULL key (they never match; full-outer
-/// joins append them last, in row order).
-fn build_side_with(exec: &Executor, right: &Table, rcols: &[usize]) -> (BuildMap, Vec<u32>) {
-    let n = right.num_rows();
-    if exec.workers_for(n) <= 1 {
-        return build_side_range(right, rcols, 0..n);
-    }
-    let chunks: Vec<(BuildMap, Vec<u32>)> =
-        exec.par_ranges(n, |_, range| build_side_range(right, rcols, range));
-    let mut chunks = chunks.into_iter();
-    let (mut map, mut null_rows) = chunks.next().expect("at least one chunk");
-    for (m, nulls) in chunks {
-        map.merge(m);
-        null_rows.extend(nulls);
     }
     (map, null_rows)
 }
@@ -365,100 +320,59 @@ fn missing(on: &AttrSet, name: &str) -> RelationError {
 /// Hash equi-join of `left ⋈_on right` at the selection level: symbol-native
 /// build/probe, no value is boxed and no column gathered. Output row order is
 /// identical to [`crate::join::hash_join`] (which is this plus one
-/// [`materialize_join`]). Runs on the global executor — see
-/// [`join_sel_with`].
+/// [`materialize_join`]).
 pub fn join_sel(left: &Table, right: &Table, on: &AttrSet, kind: JoinKind) -> Result<JoinSel> {
-    join_sel_with(&Executor::global(), left, right, on, kind)
-}
-
-/// [`join_sel`] on an explicit executor: the build side is partitioned into
-/// per-chunk maps merged in chunk order, and the probe is chunked over the
-/// left rows with chunk results concatenated in chunk order — output is
-/// bit-identical at every thread count (inputs below the grain run inline).
-pub fn join_sel_with(
-    exec: &Executor,
-    left: &Table,
-    right: &Table,
-    on: &AttrSet,
-    kind: JoinKind,
-) -> Result<JoinSel> {
     let (lcols, rcols) = validate_on(left, right, on)?;
-    Ok(join_sel_cols(exec, left, right, &lcols, &rcols, kind))
+    Ok(join_sel_cols(left, right, &lcols, &rcols, kind))
 }
 
-/// [`join_sel_with`] over pre-validated column indices (what `hash_join`
-/// calls so validation runs once per join, not once per phase).
+/// [`join_sel`] over pre-validated column indices (what `hash_join` calls so
+/// validation runs once per join, not once per phase).
 pub(crate) fn join_sel_cols(
-    exec: &Executor,
     left: &Table,
     right: &Table,
     lcols: &[usize],
     rcols: &[usize],
     kind: JoinKind,
 ) -> JoinSel {
-    let (map, right_null_rows) = build_side_with(exec, right, rcols);
+    let (map, right_null_rows) = build_side(right, rcols);
     let sources: Vec<KeySource<'_>> = lcols
         .iter()
         .zip(rcols)
         .map(|(&lc, &rc)| probe_source(left.column(lc), right.column(rc)))
         .collect();
-
-    // Chunked probe: each chunk emits its matches (and, for full-outer, the
-    // right rows it matched) for an ascending row range; concatenating in
-    // chunk order reproduces the sequential probe exactly.
-    let chunks: Vec<(Vec<u32>, Vec<u32>, Vec<u32>)> =
-        exec.par_ranges(left.num_rows(), |_, range| {
-            let mut li: Vec<u32> = Vec::new();
-            let mut ri: Vec<u32> = Vec::new();
-            let mut matched: Vec<u32> = Vec::new();
-            let mut key = vec![0u64; sources.len()];
-            for l in range {
-                let resolved = sources.iter().enumerate().try_for_each(|(pos, s)| {
-                    if s.is_null(l) {
-                        return Err(());
-                    }
-                    key[pos] = s.word(l).ok_or(())?;
-                    Ok(())
-                });
-                match resolved.ok().and_then(|()| map.get(&key)) {
-                    Some(matches) => {
-                        for &r in matches {
-                            li.push(l as u32);
-                            ri.push(r);
-                            if kind == JoinKind::FullOuter {
-                                matched.push(r);
-                            }
-                        }
-                    }
-                    None => {
-                        if kind == JoinKind::FullOuter {
-                            li.push(l as u32);
-                            ri.push(NO_ROW);
-                        }
+    let full_outer = kind == JoinKind::FullOuter;
+    let mut li: Vec<u32> = Vec::new();
+    let mut ri: Vec<u32> = Vec::new();
+    let mut right_matched = vec![false; if full_outer { right.num_rows() } else { 0 }];
+    let mut key = vec![0u64; sources.len()];
+    for l in 0..left.num_rows() {
+        let resolved = sources.iter().enumerate().try_for_each(|(pos, s)| {
+            if s.is_null(l) {
+                return Err(());
+            }
+            key[pos] = s.word(l).ok_or(())?;
+            Ok(())
+        });
+        match resolved.ok().and_then(|()| map.get(&key)) {
+            Some(matches) => {
+                for &r in matches {
+                    li.push(l as u32);
+                    ri.push(r);
+                    if full_outer {
+                        right_matched[r as usize] = true;
                     }
                 }
             }
-            (li, ri, matched)
-        });
-
-    let mut li: Vec<u32> = Vec::new();
-    let mut ri: Vec<u32> = Vec::new();
-    let mut right_matched = vec![
-        false;
-        if kind == JoinKind::FullOuter {
-            right.num_rows()
-        } else {
-            0
-        }
-    ];
-    for (lc, rc, m) in chunks {
-        li.extend(lc);
-        ri.extend(rc);
-        for r in m {
-            right_matched[r as usize] = true;
+            None => {
+                if full_outer {
+                    li.push(l as u32);
+                    ri.push(NO_ROW);
+                }
+            }
         }
     }
-    if kind == JoinKind::FullOuter {
+    if full_outer {
         // NULL-keyed rights are appended separately below; pre-marking them
         // "matched" keeps the unmatched scan linear in the row count.
         for &r in &right_null_rows {
@@ -525,7 +439,6 @@ impl PairSel {
     /// O(survivor matches + tail join) instead of a full hash join.
     pub fn patch_probe(
         &self,
-        exec: &Executor,
         kept: &[u32],
         new_probe: &Table,
         build: &Table,
@@ -547,7 +460,7 @@ impl PairSel {
             }
         }
         let tail_table = new_probe.gather_runs(&[(n_surv as u32, n_new as u32)]);
-        let tail = pair_sel_with(exec, &tail_table, build, on)?;
+        let tail = pair_sel(&tail_table, build, on)?;
         let mut matches: Vec<u32> = Vec::with_capacity(self.matches.len() + tail.num_matches());
         let mut bounds: Vec<usize> = Vec::with_capacity(n_new + 1);
         bounds.push(0);
@@ -590,7 +503,6 @@ impl PairSel {
     /// rebuilding over `(probe, new_build)`.
     pub fn patch_build(
         &self,
-        exec: &Executor,
         remap: &[u32],
         probe: &Table,
         new_build: &Table,
@@ -611,7 +523,7 @@ impl PairSel {
             )));
         }
         let tail_idx: Vec<u32> = (n_surv as u32..n_new as u32).collect();
-        let tail = pair_sel_with(exec, probe, &new_build.gather(&tail_idx), on)?;
+        let tail = pair_sel(probe, &new_build.gather(&tail_idx), on)?;
         let mut matches: Vec<u32> = Vec::new();
         let mut bounds: Vec<usize> = Vec::with_capacity(self.num_left() + 1);
         bounds.push(0);
@@ -634,7 +546,7 @@ impl PairSel {
 }
 
 /// Convert usize CSR bounds into the u32 form, rejecting overflow the same
-/// way `pair_sel_with` does.
+/// way [`pair_sel`] does.
 fn finish_patched(bounds: Vec<usize>, matches: Vec<u32>) -> Result<PairSel> {
     if matches.len() >= NO_ROW as usize {
         return Err(RelationError::Shape(format!(
@@ -648,21 +560,10 @@ fn finish_patched(bounds: Vec<usize>, matches: Vec<u32>) -> Result<PairSel> {
     })
 }
 
-/// Build a [`PairSel`] on the global executor.
+/// Build a [`PairSel`]: the inner [`join_sel`] reshaped into CSR form.
 pub fn pair_sel(left: &Table, right: &Table, on: &AttrSet) -> Result<PairSel> {
-    pair_sel_with(&Executor::global(), left, right, on)
-}
-
-/// Build a [`PairSel`] on an explicit executor (parallel partitioned build +
-/// chunked probe via [`join_sel_with`]; bit-identical at every thread count).
-pub fn pair_sel_with(
-    exec: &Executor,
-    left: &Table,
-    right: &Table,
-    on: &AttrSet,
-) -> Result<PairSel> {
     let (lcols, rcols) = validate_on(left, right, on)?;
-    let sel = join_sel_cols(exec, left, right, &lcols, &rcols, JoinKind::Inner);
+    let sel = join_sel_cols(left, right, &lcols, &rcols, JoinKind::Inner);
     if sel.right_rows.len() >= NO_ROW as usize {
         return Err(RelationError::Shape(format!(
             "pair join produced {} matches; selection row ids are u32",
@@ -900,27 +801,14 @@ struct OutCol {
     col: usize,
 }
 
-/// Join `tables` along tree `edges` with **late materialization**, on the
-/// global executor: per-hop symbol-native selection joins composed into a
-/// [`TreeSel`], one gather per output column at the end. `intermediate` is
-/// called after every hop with the composed selection (the hook point §3.2
-/// re-sampling uses). Output is identical — schema, row order, values — to
-/// chaining [`crate::join::hash_join`] hop by hop over the same inputs.
+/// Join `tables` along tree `edges` with **late materialization**:
+/// per-hop symbol-native selection joins composed into a [`TreeSel`], one
+/// gather per output column at the end. `intermediate` is called after every
+/// hop with the composed selection (the hook point §3.2 re-sampling uses).
+/// Output is identical — schema, row order, values — to chaining
+/// [`crate::join::hash_join`] hop by hop over the same inputs. Implemented as
+/// the all-direct-hops drive of [`TreeJoin`].
 pub fn join_tree_late(
-    tables: &[&Table],
-    edges: &[JoinEdge],
-    intermediate: impl FnMut(TreeSel) -> TreeSel,
-) -> Result<Table> {
-    join_tree_late_with(&Executor::global(), tables, edges, intermediate)
-}
-
-/// [`join_tree_late`] on an explicit executor: the probe, the selection
-/// composition and the final per-column gathers are chunked/fanned out across
-/// its workers (chunk results in chunk order — bit-identical at every thread
-/// count); inputs below the grain run inline. Implemented as the
-/// all-direct-hops drive of [`TreeJoin`].
-pub fn join_tree_late_with(
-    exec: &Executor,
     tables: &[&Table],
     edges: &[JoinEdge],
     mut intermediate: impl FnMut(TreeSel) -> TreeSel,
@@ -933,10 +821,10 @@ pub fn join_tree_late_with(
     }
     let mut tj = TreeJoin::new(tables, edges)?;
     while let Some(hop) = tj.next_hop()? {
-        tj.advance(exec, &hop)?;
+        tj.advance(&hop)?;
         tj.map_sel(&mut intermediate);
     }
-    tj.materialize(exec)
+    tj.materialize()
 }
 
 /// Resolved description of one tree-join hop, produced by
@@ -968,7 +856,7 @@ pub struct HopPlan<'a> {
 /// build + probe ([`TreeJoin::advance`]) or from a pre-built [`PairSel`] over
 /// the probe-side base table ([`TreeJoin::advance_with_pair`]) — the two
 /// produce bit-identical compositions, which is what lets the MCMC search
-/// cache pair selections across proposals. [`join_tree_late_with`] is the
+/// cache pair selections across proposals. [`join_tree_late`] is the
 /// all-direct drive of this type; after each hop the caller may filter the
 /// composed selection ([`TreeJoin::map_sel`] — §3.2 re-sampling), and
 /// [`TreeJoin::materialize`] gathers the final table.
@@ -1074,11 +962,11 @@ impl<'a> TreeJoin<'a> {
     }
 
     /// Consume `hop` with a direct build + probe: build the symbol map on the
-    /// new base table, probe the accumulated selection (chunked over `exec`).
-    pub fn advance(&mut self, exec: &Executor, hop: &HopPlan<'a>) -> Result<()> {
+    /// new base table, probe the accumulated selection.
+    pub fn advance(&mut self, hop: &HopPlan<'a>) -> Result<()> {
         self.check_step(hop)?;
         let right = self.tables[hop.right];
-        let (map, _) = build_side_with(exec, right, &hop.rcols);
+        let (map, _) = build_side(right, &hop.rcols);
         let key_slots: Vec<usize> = hop.lpos.iter().map(|&p| self.cols[p].slot).collect();
         let sources: Vec<KeySource<'_>> = hop
             .lpos
@@ -1093,31 +981,28 @@ impl<'a> TreeJoin<'a> {
             })
             .collect();
         let sel = &self.sel;
-        let chunks: Vec<(Vec<u32>, Vec<u32>)> = exec.par_ranges(sel.len, |_, range| {
-            let mut li = Vec::new();
-            let mut ri = Vec::new();
-            let mut key = vec![0u64; sources.len()];
-            'out: for out in range {
-                for (pos, s) in sources.iter().enumerate() {
-                    let row = sel.rows[key_slots[pos]][out] as usize;
-                    if s.is_null(row) {
-                        continue 'out;
-                    }
-                    match s.word(row) {
-                        Some(w) => key[pos] = w,
-                        None => continue 'out,
-                    }
+        let mut li = Vec::new();
+        let mut ri = Vec::new();
+        let mut key = vec![0u64; sources.len()];
+        'out: for out in 0..sel.len {
+            for (pos, s) in sources.iter().enumerate() {
+                let row = sel.rows[key_slots[pos]][out] as usize;
+                if s.is_null(row) {
+                    continue 'out;
                 }
-                if let Some(matches) = map.get(&key) {
-                    for &r in matches {
-                        li.push(out as u32);
-                        ri.push(r);
-                    }
+                match s.word(row) {
+                    Some(w) => key[pos] = w,
+                    None => continue 'out,
                 }
             }
-            (li, ri)
-        });
-        self.compose(exec, hop, chunks)
+            if let Some(matches) = map.get(&key) {
+                for &r in matches {
+                    li.push(out as u32);
+                    ri.push(r);
+                }
+            }
+        }
+        self.compose(hop, li, ri)
     }
 
     /// Consume `hop` by re-probing a pre-built [`PairSel`] between the
@@ -1126,12 +1011,7 @@ impl<'a> TreeJoin<'a> {
     /// list replaces the hash-map probe. Produces the identical composition
     /// to [`TreeJoin::advance`] — the cached lists are exactly what the
     /// direct probe would find per base row.
-    pub fn advance_with_pair(
-        &mut self,
-        exec: &Executor,
-        hop: &HopPlan<'a>,
-        pair: &PairSel,
-    ) -> Result<()> {
+    pub fn advance_with_pair(&mut self, hop: &HopPlan<'a>, pair: &PairSel) -> Result<()> {
         self.check_step(hop)?;
         let Some(key_base) = hop.key_base else {
             return Err(RelationError::InvalidJoin(
@@ -1146,20 +1026,16 @@ impl<'a> TreeJoin<'a> {
             )));
         }
         let slot = self.cols[hop.lpos[0]].slot;
-        let sel = &self.sel;
-        let rows = &sel.rows[slot];
-        let chunks: Vec<(Vec<u32>, Vec<u32>)> = exec.par_ranges(sel.len, |_, range| {
-            let mut li = Vec::new();
-            let mut ri = Vec::new();
-            for out in range {
-                for &r in pair.matches_of(rows[out]) {
-                    li.push(out as u32);
-                    ri.push(r);
-                }
+        let rows = &self.sel.rows[slot];
+        let mut li = Vec::new();
+        let mut ri = Vec::new();
+        for (out, &row) in rows.iter().enumerate() {
+            for &r in pair.matches_of(row) {
+                li.push(out as u32);
+                ri.push(r);
             }
-            (li, ri)
-        });
-        self.compose(exec, hop, chunks)
+        }
+        self.compose(hop, li, ri)
     }
 
     /// Filter/replace the composed selection (the §3.2 re-sampling hook
@@ -1186,22 +1062,11 @@ impl<'a> TreeJoin<'a> {
         Ok(())
     }
 
-    /// Fold this hop's `(out, right-row)` match chunks into the accumulated
+    /// Fold this hop's `(out, right-row)` matches into the accumulated
     /// selection and advance the output schema — shared by both match
     /// sources, so the composition is bit-identical regardless of origin.
-    fn compose(
-        &mut self,
-        exec: &Executor,
-        hop: &HopPlan<'a>,
-        chunks: Vec<(Vec<u32>, Vec<u32>)>,
-    ) -> Result<()> {
+    fn compose(&mut self, hop: &HopPlan<'a>, li: Vec<u32>, ri: Vec<u32>) -> Result<()> {
         let right = self.tables[hop.right];
-        let mut li: Vec<u32> = Vec::new();
-        let mut ri: Vec<u32> = Vec::new();
-        for (lc, rc) in chunks {
-            li.extend(lc);
-            ri.extend(rc);
-        }
         // Selection columns index output rows as u32 (NO_ROW reserved). A
         // per-hop materializing join would OOM long before this; the selection costs only a
         // few bytes per row, so an over-wide fan-out must fail loudly instead
@@ -1218,17 +1083,9 @@ impl<'a> TreeJoin<'a> {
         // Compose: route every existing selection column through `li`, then
         // adopt the new table's matches as a fresh column.
         let sel = &mut self.sel;
-        let gathered: Vec<Vec<u32>> = if li.len() >= exec.grain() && exec.threads() > 1 {
-            exec.par_map(&sel.rows, |_, col| {
-                li.iter().map(|&o| col[o as usize]).collect()
-            })
-        } else {
-            sel.rows
-                .iter()
-                .map(|col| li.iter().map(|&o| col[o as usize]).collect())
-                .collect()
-        };
-        sel.rows = gathered;
+        for col in &mut sel.rows {
+            *col = li.iter().map(|&o| col[o as usize]).collect();
+        }
         sel.rows.push(ri);
         sel.tabs.push(hop.right);
         sel.len = li.len();
@@ -1274,19 +1131,17 @@ impl<'a> TreeJoin<'a> {
     }
 
     /// Materialize once: one gather per output column, straight off the base
-    /// tables (fanned out per column when the row count warrants it).
-    pub fn materialize(self, exec: &Executor) -> Result<Table> {
+    /// tables.
+    pub fn materialize(self) -> Result<Table> {
         let (sel, cols) = (&self.sel, &self.cols);
-        let gather_col = |oc: &OutCol| -> Column {
-            self.tables[sel.tabs[oc.slot]]
-                .column(oc.col)
-                .gather(&sel.rows[oc.slot])
-        };
-        let columns: Vec<Column> = if sel.len * cols.len() >= exec.grain() && exec.threads() > 1 {
-            exec.par_map(cols, |_, oc| gather_col(oc))
-        } else {
-            cols.iter().map(gather_col).collect()
-        };
+        let columns: Vec<Column> = cols
+            .iter()
+            .map(|oc| {
+                self.tables[sel.tabs[oc.slot]]
+                    .column(oc.col)
+                    .gather(&sel.rows[oc.slot])
+            })
+            .collect();
         let attrs: Vec<Attribute> = cols.iter().map(|oc| oc.attr).collect();
         Table::new(self.name, Schema::new(attrs)?, columns)
     }
@@ -1375,31 +1230,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_late_tree_is_bit_identical() {
-        let (a, b, c) = chain();
-        let seq = join_tree_late_with(
-            &Executor::sequential(),
-            &[&a, &b, &c],
-            &chain_edges(),
-            |s| s,
-        )
-        .unwrap();
-        for threads in [2usize, 4, 8] {
-            let par = join_tree_late_with(
-                &Executor::with_grain(threads, 1),
-                &[&a, &b, &c],
-                &chain_edges(),
-                |s| s,
-            )
-            .unwrap();
-            assert_tables_equal(&par, &seq);
-        }
-    }
-
-    #[test]
     fn patched_pair_sel_matches_fresh_rebuild() {
         use crate::delta::TableDelta;
-        let exec = Executor::sequential();
         let (a, b, _) = chain();
         let on = AttrSet::from_names(["sel_k"]);
         // Delete a NULL-keyed and two matched rows, insert a survivor dup, a
@@ -1416,19 +1248,19 @@ mod tests {
         // Probe-side delta: patch (A ⋈ B) for a change to A.
         let a2 = a.apply_delta(&delta).unwrap();
         let kept = delta.kept(a.num_rows()).unwrap();
-        let cached = pair_sel_with(&exec, &a, &b, &on).unwrap();
-        let patched = cached.patch_probe(&exec, &kept, &a2, &b, &on).unwrap();
-        let fresh = pair_sel_with(&exec, &a2, &b, &on).unwrap();
+        let cached = pair_sel(&a, &b, &on).unwrap();
+        let patched = cached.patch_probe(&kept, &a2, &b, &on).unwrap();
+        let fresh = pair_sel(&a2, &b, &on).unwrap();
         assert_eq!(patched.starts, fresh.starts);
         assert_eq!(patched.matches, fresh.matches);
 
         // Build-side delta: patch (B ⋈ A) for the same change to A.
         let remap = delta.remap(a.num_rows()).unwrap();
-        let cached = pair_sel_with(&exec, &b, &a, &on).unwrap();
+        let cached = pair_sel(&b, &a, &on).unwrap();
         let patched = cached
-            .patch_build(&exec, &remap, &b, &a2, kept.len(), &on)
+            .patch_build(&remap, &b, &a2, kept.len(), &on)
             .unwrap();
-        let fresh = pair_sel_with(&exec, &b, &a2, &on).unwrap();
+        let fresh = pair_sel(&b, &a2, &on).unwrap();
         assert_eq!(patched.starts, fresh.starts);
         assert_eq!(patched.matches, fresh.matches);
     }
@@ -1444,21 +1276,19 @@ mod tests {
         let b2 = b.apply_delta(&delta).unwrap();
         let kept = delta.kept(b.num_rows()).unwrap();
         let remap = delta.remap(b.num_rows()).unwrap();
-        for exec in [Executor::sequential(), Executor::with_grain(4, 1)] {
-            let cached = pair_sel_with(&exec, &a, &b, &on).unwrap();
-            let patched = cached
-                .patch_build(&exec, &remap, &a, &b2, kept.len(), &on)
-                .unwrap();
-            let fresh = pair_sel_with(&exec, &a, &b2, &on).unwrap();
-            assert_eq!(patched.starts, fresh.starts);
-            assert_eq!(patched.matches, fresh.matches);
+        let cached = pair_sel(&a, &b, &on).unwrap();
+        let patched = cached
+            .patch_build(&remap, &a, &b2, kept.len(), &on)
+            .unwrap();
+        let fresh = pair_sel(&a, &b2, &on).unwrap();
+        assert_eq!(patched.starts, fresh.starts);
+        assert_eq!(patched.matches, fresh.matches);
 
-            let cached = pair_sel_with(&exec, &b, &a, &on).unwrap();
-            let patched = cached.patch_probe(&exec, &kept, &b2, &a, &on).unwrap();
-            let fresh = pair_sel_with(&exec, &b2, &a, &on).unwrap();
-            assert_eq!(patched.starts, fresh.starts);
-            assert_eq!(patched.matches, fresh.matches);
-        }
+        let cached = pair_sel(&b, &a, &on).unwrap();
+        let patched = cached.patch_probe(&kept, &b2, &a, &on).unwrap();
+        let fresh = pair_sel(&b2, &a, &on).unwrap();
+        assert_eq!(patched.starts, fresh.starts);
+        assert_eq!(patched.matches, fresh.matches);
     }
 
     #[test]

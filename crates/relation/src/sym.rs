@@ -33,7 +33,6 @@ use crate::hash::FxHashMap;
 use crate::schema::AttrSet;
 use crate::table::Table;
 use crate::value::{Value, ValueType};
-use dance_executor::Executor;
 use std::sync::Arc;
 
 /// A histogram key: `[null_mask, payload_0, …, payload_{k−1}]`.
@@ -393,19 +392,13 @@ fn delta_sym_keys(
     Ok((del_keys, ins_keys))
 }
 
-/// Symbol-keyed histogram of `t` over `attrs`, on the global executor.
+/// Symbol-keyed histogram of `t` over `attrs`: one group-id pass, one count
+/// pass, and key assembly per *group*.
 pub fn sym_counts(t: &Table, attrs: &AttrSet) -> Result<SymCounts> {
-    sym_counts_with(&Executor::global(), t, attrs)
-}
-
-/// [`sym_counts`] on an explicit executor: the group-id and counting passes
-/// are chunked across its workers; key assembly (a few word moves per
-/// *group*) stays sequential.
-pub fn sym_counts_with(exec: &Executor, t: &Table, attrs: &AttrSet) -> Result<SymCounts> {
     let cols = t.attr_indices(attrs)?;
     let metas = col_metas(t, &cols)?;
-    let g = crate::group::group_ids_with(exec, t, attrs)?;
-    let counts = g.counts_with(exec);
+    let g = crate::group::group_ids(t, attrs)?;
+    let counts = g.counts();
     let keys = sym_keys(t, &cols, &g);
     Ok(SymCounts {
         metas,
@@ -471,41 +464,30 @@ impl SymJointCounts {
     }
 }
 
-/// Compute [`SymJointCounts`] for attribute sets `x` and `y` of `t`, on the
-/// global executor.
+/// Compute [`SymJointCounts`] for attribute sets `x` and `y` of `t`.
 pub fn sym_joint_counts(t: &Table, x: &AttrSet, y: &AttrSet) -> Result<SymJointCounts> {
-    sym_joint_counts_with(&Executor::global(), t, x, y)
-}
-
-/// [`sym_joint_counts`] on an explicit executor.
-pub fn sym_joint_counts_with(
-    exec: &Executor,
-    t: &Table,
-    x: &AttrSet,
-    y: &AttrSet,
-) -> Result<SymJointCounts> {
     let xcols = t.attr_indices(x)?;
     let ycols = t.attr_indices(y)?;
-    let gx = crate::group::group_ids_with(exec, t, x)?;
-    let gy = crate::group::group_ids_with(exec, t, y)?;
-    let joint = gx.zip_with(exec, &gy);
+    let gx = crate::group::group_ids(t, x)?;
+    let gy = crate::group::group_ids(t, y)?;
+    let joint = gx.zip(&gy);
 
     let x_keys = sym_keys(t, &xcols, &gx);
     let y_keys = sym_keys(t, &ycols, &gy);
 
     let xc = SymCounts {
         metas: col_metas(t, &xcols)?,
-        counts: x_keys.iter().cloned().zip(gx.counts_with(exec)).collect(),
+        counts: x_keys.iter().cloned().zip(gx.counts()).collect(),
         n: t.num_rows() as u64,
     };
     let yc = SymCounts {
         metas: col_metas(t, &ycols)?,
-        counts: y_keys.iter().cloned().zip(gy.counts_with(exec)).collect(),
+        counts: y_keys.iter().cloned().zip(gy.counts()).collect(),
         n: t.num_rows() as u64,
     };
     let xy = joint
         .grouping()
-        .counts_with(exec)
+        .counts()
         .into_iter()
         .enumerate()
         .map(|(g, c)| {

@@ -3,15 +3,10 @@
 use dance_oracle::{group_rows, joint_counts, value_counts, GroupKey};
 use dance_relation::join::{hash_join, JoinKind};
 use dance_relation::{
-    group_ids, group_ids_with, join_sel_with, pair_sel_with, sym_counts, sym_counts_with,
-    sym_joint_counts, AttrSet, Executor, FxHashMap, InternerRegistry, SymCounts, Table, Value,
-    ValueType,
+    group_ids, join_sel, pair_sel, sym_counts, sym_joint_counts, AttrSet, FxHashMap,
+    InternerRegistry, SymCounts, Table, Value, ValueType,
 };
 use proptest::prelude::*;
-
-/// Thread counts the parallel == sequential pinning runs at; grain 1 forces
-/// chunked execution even on tables of a handful of rows.
-const PIN_THREADS: [usize; 4] = [1, 2, 3, 8];
 
 /// Materialize a symbol histogram's keys for comparison with `value_counts`.
 fn decode_counts(sc: &SymCounts) -> FxHashMap<GroupKey, u64> {
@@ -173,59 +168,11 @@ proptest! {
         }
     }
 
-    /// Chunked parallel encoding is **bit-identical** to the sequential path
-    /// at every thread count, for every key encoding (Str slots, Int/Float
-    /// hashing, compound folds) and with NULLs present — group ids, group
-    /// count and per-group counts all match exactly.
-    #[test]
-    fn parallel_grouping_bit_identical_across_thread_counts(t in arb_mixed_table()) {
-        let seq = Executor::sequential();
-        for attrs in [
-            AttrSet::from_names(["mx_s"]),
-            AttrSet::from_names(["mx_i"]),
-            AttrSet::from_names(["mx_f"]),
-            AttrSet::from_names(["mx_s", "mx_i", "mx_f"]),
-        ] {
-            let reference = group_ids_with(&seq, &t, &attrs).unwrap();
-            for threads in PIN_THREADS {
-                let exec = Executor::with_grain(threads, 1);
-                let g = group_ids_with(&exec, &t, &attrs).unwrap();
-                prop_assert_eq!(g.ids(), reference.ids(), "{} at {} threads", attrs, threads);
-                prop_assert_eq!(g.num_groups(), reference.num_groups());
-                prop_assert_eq!(g.counts_with(&exec), reference.counts_with(&seq));
-            }
-        }
-    }
-
-    /// Parallel zip (joint grouping) matches sequential exactly, including
-    /// the per-group marginal back-pointers.
-    #[test]
-    fn parallel_zip_and_histograms_bit_identical(t in arb_mixed_table()) {
-        let seq = Executor::sequential();
-        let x = AttrSet::from_names(["mx_s"]);
-        let y = AttrSet::from_names(["mx_i"]);
-        let gx = group_ids_with(&seq, &t, &x).unwrap();
-        let gy = group_ids_with(&seq, &t, &y).unwrap();
-        let reference = gx.zip_with(&seq, &gy);
-        for threads in PIN_THREADS {
-            let exec = Executor::with_grain(threads, 1);
-            let joint = gx.zip_with(&exec, &gy);
-            prop_assert_eq!(joint.grouping().ids(), reference.grouping().ids());
-            prop_assert_eq!(joint.grouping().num_groups(), reference.grouping().num_groups());
-            for g in 0..joint.grouping().num_groups() {
-                prop_assert_eq!(joint.x_of(g), reference.x_of(g));
-                prop_assert_eq!(joint.y_of(g), reference.y_of(g));
-            }
-        }
-    }
-
     /// Symbol histograms decode to exactly the materialized value histograms
-    /// on every type/NULL combination — interned or not, at every thread
-    /// count.
+    /// on every type/NULL combination — interned or not.
     #[test]
     fn sym_counts_decode_to_value_counts(t in arb_mixed_table()) {
         let reg = InternerRegistry::new();
-        let seq = Executor::sequential();
         for table in [t.clone(), t.intern_into(&reg)] {
             for attrs in [
                 AttrSet::from_names(["mx_s"]),
@@ -234,13 +181,8 @@ proptest! {
                 AttrSet::from_names(["mx_s", "mx_i", "mx_f"]),
             ] {
                 let reference = value_counts(&table, &attrs).unwrap();
-                let sc = sym_counts_with(&seq, &table, &attrs).unwrap();
+                let sc = sym_counts(&table, &attrs).unwrap();
                 prop_assert_eq!(&decode_counts(&sc), &reference, "{}", attrs);
-                for threads in PIN_THREADS {
-                    let exec = Executor::with_grain(threads, 1);
-                    let sp = sym_counts_with(&exec, &table, &attrs).unwrap();
-                    prop_assert_eq!(sp.counts(), sc.counts(), "{} at {} threads", attrs, threads);
-                }
             }
         }
     }
@@ -371,46 +313,6 @@ proptest! {
         }
     }
 
-    /// The parallel pair join — partitioned build side (per-chunk maps
-    /// merged in chunk order) + chunked probe — is bit-identical to the
-    /// sequential selection join at every thread count: both `JoinKind`s,
-    /// NULL keys, multi-attribute `on`, shared/private/mixed dictionaries.
-    #[test]
-    fn parallel_join_sel_bit_identical(
-        l in arb_mixed_table(),
-        r in arb_mixed_table(),
-    ) {
-        let reg = InternerRegistry::new();
-        let pairs = [
-            (l.clone().with_name("L"), r.clone().with_name("R")),
-            (
-                l.intern_into(&reg).with_name("L"),
-                r.intern_into(&reg).with_name("R"),
-            ),
-            (l.intern_into(&reg).with_name("L"), r.clone().with_name("R")),
-        ];
-        for (lt, rt) in &pairs {
-            for on in [
-                AttrSet::from_names(["mx_s"]),
-                AttrSet::from_names(["mx_i"]),
-                AttrSet::from_names(["mx_s", "mx_i"]),
-            ] {
-                for kind in [JoinKind::Inner, JoinKind::FullOuter] {
-                    let seq =
-                        join_sel_with(&Executor::sequential(), lt, rt, &on, kind).unwrap();
-                    for threads in [2usize, 4, 8] {
-                        let exec = Executor::with_grain(threads, 1);
-                        let par = join_sel_with(&exec, lt, rt, &on, kind).unwrap();
-                        prop_assert_eq!(&par.left_rows, &seq.left_rows,
-                            "{:?} at {} threads", kind, threads);
-                        prop_assert_eq!(&par.right_rows, &seq.right_rows,
-                            "{:?} at {} threads", kind, threads);
-                    }
-                }
-            }
-        }
-    }
-
     /// A `PairSel`'s CSR match lists expand to exactly the inner selection
     /// join's row pairs, and re-probing any row subset through the cached
     /// lists reproduces what a direct probe of that subset finds.
@@ -418,14 +320,12 @@ proptest! {
     fn pair_sel_expands_to_inner_join_sel(
         l in arb_mixed_table(),
         r in arb_mixed_table(),
-        threads in 1usize..5,
     ) {
         let reg = InternerRegistry::new();
         let (lt, rt) = (l.with_name("L"), r.intern_into(&reg).with_name("R"));
         let on = AttrSet::from_names(["mx_s", "mx_i"]);
-        let exec = Executor::with_grain(threads, 1);
-        let pair = pair_sel_with(&exec, &lt, &rt, &on).unwrap();
-        let sel = join_sel_with(&Executor::sequential(), &lt, &rt, &on, JoinKind::Inner).unwrap();
+        let pair = pair_sel(&lt, &rt, &on).unwrap();
+        let sel = join_sel(&lt, &rt, &on, JoinKind::Inner).unwrap();
         prop_assert_eq!(pair.num_left(), lt.num_rows());
         prop_assert_eq!(pair.num_matches(), sel.left_rows.len());
         let mut li = Vec::new();
@@ -441,7 +341,7 @@ proptest! {
     }
 
     /// The late-materialization tree join equals the per-hop materializing
-    /// chain on random 3-table paths, at every forced-chunking executor.
+    /// chain on random 3-table paths.
     #[test]
     fn late_tree_join_matches_per_hop_chain(
         a in arb_mixed_table(),
@@ -457,11 +357,7 @@ proptest! {
         ];
         let tables = [&a, &b, &c];
         let per_hop = dance_oracle::join_tree(&tables, &edges, |t| t).unwrap();
-        for threads in [1usize, 4] {
-            let exec = Executor::with_grain(threads, 1);
-            let late =
-                dance_relation::join_tree_late_with(&exec, &tables, &edges, |s| s).unwrap();
-            assert_same_table(&late, &per_hop)?;
-        }
+        let late = dance_relation::join_tree_late(&tables, &edges, |s| s).unwrap();
+        assert_same_table(&late, &per_hop)?;
     }
 }

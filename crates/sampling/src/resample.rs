@@ -19,7 +19,7 @@
 
 use dance_relation::hash::{stable_hash64, unit_interval};
 use dance_relation::join::JoinEdge;
-use dance_relation::sel::{join_tree_late_with, TreeSel};
+use dance_relation::sel::{join_tree_late, TreeSel};
 use dance_relation::{Executor, Result, Table};
 
 /// Configuration of §3.2 re-sampling.
@@ -55,7 +55,7 @@ pub struct ResampleStats {
 }
 
 /// The §3.2 re-sampling hook at the selection level, factored out of
-/// [`join_tree_bounded_with`] so that incremental tree drivers — the MCMC
+/// [`join_tree_bounded`] so that incremental tree drivers — the MCMC
 /// search's cached evaluation engine drives
 /// [`dance_relation::sel::TreeJoin`] hop by hop — apply re-sampling with the
 /// *same* step numbering and seed derivation as the batch pipeline. Composed
@@ -112,8 +112,7 @@ impl<'a> BoundedHook<'a> {
     }
 }
 
-/// Join `tables` along `edges` with §3.2 intermediate re-sampling, on the
-/// global executor.
+/// Join `tables` along `edges` with §3.2 intermediate re-sampling.
 ///
 /// With `cfg = None` this is a plain tree join (the "without re-sampling"
 /// branch of Figure 8). Runs on the late-materialization selection pipeline:
@@ -123,21 +122,21 @@ pub fn join_tree_bounded(
     edges: &[JoinEdge],
     cfg: Option<&ResampleConfig>,
 ) -> Result<(Table, ResampleStats)> {
-    join_tree_bounded_with(&Executor::global(), tables, edges, cfg)
+    let mut hook = BoundedHook::new(cfg);
+    let joined = join_tree_late(tables, edges, |sel| hook.apply(sel))?;
+    Ok((joined, hook.into_stats()))
 }
 
-/// [`join_tree_bounded`] on an explicit executor (probe/compose/materialize
-/// fan out across its workers; output is bit-identical at every thread
-/// count).
+/// [`join_tree_bounded`]; `exec` is ignored, since the tree join runs
+/// sequentially. Kept with this signature because the end-to-end benchmark
+/// harness (`perfbench/`) calls it by this name.
 pub fn join_tree_bounded_with(
-    exec: &Executor,
+    _exec: &Executor,
     tables: &[&Table],
     edges: &[JoinEdge],
     cfg: Option<&ResampleConfig>,
 ) -> Result<(Table, ResampleStats)> {
-    let mut hook = BoundedHook::new(cfg);
-    let joined = join_tree_late_with(exec, tables, edges, |sel| hook.apply(sel))?;
-    Ok((joined, hook.into_stats()))
+    join_tree_bounded(tables, edges, cfg)
 }
 
 #[cfg(test)]

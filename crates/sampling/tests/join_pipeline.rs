@@ -1,14 +1,13 @@
 //! End-to-end pins of the selection-vector join pipeline: the
 //! late-materialization path must reproduce the oracle's per-hop
 //! materializing reference — tables, re-sampling stats, and estimator
-//! outputs — bit-exact, at explicit executors and under whatever
-//! `DANCE_THREADS` CI sets.
+//! outputs — bit-exact.
 
 use dance_quality::tane::TaneConfig;
 use dance_relation::join::JoinEdge;
-use dance_relation::{AttrSet, Executor, InternerRegistry, Table, Value, ValueType};
+use dance_relation::{AttrSet, InternerRegistry, Table, Value, ValueType};
 use dance_sampling::estimators::{estimate_correlation, estimate_quality, SampledPath};
-use dance_sampling::resample::{join_tree_bounded, join_tree_bounded_with, ResampleConfig};
+use dance_sampling::resample::{join_tree_bounded, ResampleConfig};
 
 fn assert_same_table(a: &Table, b: &Table) {
     assert_eq!(a.name(), b.name());
@@ -92,8 +91,7 @@ fn chain_edges() -> Vec<JoinEdge> {
 }
 
 /// Selection pipeline == per-hop pipeline: joined table and §3.2 stats, with
-/// and without re-sampling, shared and private dictionaries, at explicit
-/// forced-chunking executors.
+/// and without re-sampling, shared and private dictionaries.
 #[test]
 fn bounded_tree_join_matches_materializing_reference() {
     let reg = InternerRegistry::new();
@@ -117,13 +115,6 @@ fn bounded_tree_join_matches_materializing_reference() {
             let (late, stats) = join_tree_bounded(&refs, &chain_edges(), cfg.as_ref()).unwrap();
             assert_same_table(&late, &reference);
             assert_eq!(stats, ref_stats);
-            for threads in [1usize, 4] {
-                let exec = Executor::with_grain(threads, 1);
-                let (late, stats) =
-                    join_tree_bounded_with(&exec, &refs, &chain_edges(), cfg.as_ref()).unwrap();
-                assert_same_table(&late, &reference);
-                assert_eq!(stats, ref_stats);
-            }
         }
     }
 }
