@@ -11,7 +11,8 @@
 //!   with its re-weigh fan-out at 1/2/4/8 workers (the counting kernels
 //!   themselves are sequential);
 //! * `mcmc_search` / `mcmc_multichain`: the MCMC walk from cold caches (one
-//!   chain) and on the warm graph-wide memo (one chain and best-of-N);
+//!   chain) and on the warm graph-wide memo (one chain and best-of-N chains
+//!   run in sequence on the calling thread);
 //! * `catalog_update`: delta-based catalog maintenance
 //!   (`JoinGraph::apply_delta`) against the full `refresh_sample` rebuild it
 //!   replaces;
@@ -305,8 +306,8 @@ fn two_key_setup(workers: usize) -> SearchSetup {
 /// Scale-100 TPC-H: `lineitem ⋈ partsupp` over the shared
 /// `{partkey, suppkey}` pair (3 candidate join sets), `l_quantity` as the
 /// source side and `ps_availqty` as the target. `ts` is the pre-generated
-/// catalog (so every setup shares one generation pass).
-fn tpch_search_setup(workers: usize, ts: &[Table]) -> SearchSetup {
+/// catalog.
+fn tpch_search_setup(ts: &[Table]) -> SearchSetup {
     let tables = vec![
         by_name(ts, "lineitem").clone(),
         by_name(ts, "partsupp").clone(),
@@ -316,7 +317,7 @@ fn tpch_search_setup(workers: usize, ts: &[Table]) -> SearchSetup {
         tables,
         EntropyPricing::default(),
         &JoinGraphConfig {
-            executor: Executor::new(workers),
+            executor: Executor::new(1),
             ..JoinGraphConfig::default()
         },
     )
@@ -340,103 +341,56 @@ fn tpch_search_setup(workers: usize, ts: &[Table]) -> SearchSetup {
 }
 
 /// `find_optimal_target_graph` throughput (a full seeded walk per
-/// iteration), at 1 and 4 workers, on the two-key toy graph and a scale-100
-/// TPC-H pair. The `*_cold` arms clear every evaluation cache per iteration
-/// (selections, projections/prices and the evaluation memo): each walk pays
-/// its sample joins, CORR and quality. The warm steady state of a repeated
-/// request — a fully memoized walk — is the 1-chain arm of
-/// `mcmc_multichain`.
+/// iteration) on the two-key toy graph and a scale-100 TPC-H pair. The
+/// `*_cold` arms clear every evaluation cache per iteration (selections,
+/// projections/prices and the evaluation memo): each walk pays its sample
+/// joins, CORR and quality. The warm steady state of a repeated request — a
+/// fully memoized walk — is the 1-chain arm of `mcmc_multichain`. The search
+/// runs on the calling thread, so there is no worker-count axis.
 fn bench_mcmc_search(c: &mut Criterion) {
     let mut g = c.benchmark_group("mcmc_search");
-    let ts = par_tables();
-    for workers in [1usize, 4] {
-        let two_key = two_key_setup(workers);
-        let iters = 40;
-        g.bench_with_input(
-            BenchmarkId::new("two_key_cold", format!("{workers}w")),
-            &two_key,
-            |b, s| {
-                b.iter(|| {
-                    s.graph.clear_eval_caches();
-                    s.run_seeded(17, 1, iters)
-                })
-            },
-        );
-
-        let tpch = tpch_search_setup(workers, &ts);
-        let iters = 8;
-        g.bench_with_input(
-            BenchmarkId::new("tpch_li_ps_cold", format!("{workers}w")),
-            &tpch,
-            |b, s| {
-                b.iter(|| {
-                    s.graph.clear_eval_caches();
-                    s.run_seeded(17, 1, iters)
-                })
-            },
-        );
-    }
+    let two_key = two_key_setup(1);
+    g.bench_with_input(BenchmarkId::new("two_key_cold", "1w"), &two_key, |b, s| {
+        b.iter(|| {
+            s.graph.clear_eval_caches();
+            s.run_seeded(17, 1, 40)
+        })
+    });
+    let tpch = tpch_search_setup(&par_tables());
+    g.bench_with_input(BenchmarkId::new("tpch_li_ps_cold", "1w"), &tpch, |b, s| {
+        b.iter(|| {
+            s.graph.clear_eval_caches();
+            s.run_seeded(17, 1, 8)
+        })
+    });
     g.finish();
 }
 
-/// Multi-chain search scaling: 1/2/4/8 chains at 1 and 4 workers on the
-/// two-key toy graph and the scale-100 TPC-H `lineitem ⋈ partsupp` pair,
-/// warm shared caches throughout. The `seqref` arms run the same N chains
-/// strictly sequentially (independent chains-1 searches with the derived
-/// seeds) at 1 worker — the fan-out's overhead budget is measured against
-/// them: N-chain at 1 worker must stay within ~15% of seqref-N. The
-/// evaluation memo is graph-wide, so after the first iteration both the
-/// fan-out and the sequential reference walk fully memoized states: the
-/// comparison measures scheduling overhead, not shared evaluation work, and
-/// the 1-chain arms are the warm, fully memoized single walk (the
-/// counterpart of `mcmc_search`'s cold arms).
+/// Multi-chain search scaling: 1/2/4/8 chains on the two-key toy graph and
+/// the scale-100 TPC-H `lineitem ⋈ partsupp` pair, warm shared caches
+/// throughout. Chains run one after another through one evaluation engine,
+/// and the evaluation memo is graph-wide, so after the first iteration every
+/// chain walks fully memoized states: the arms measure walk and lookup
+/// overhead, and the 1-chain arms are the warm, fully memoized single walk
+/// (the counterpart of `mcmc_search`'s cold arms).
 fn bench_mcmc_multichain(c: &mut Criterion) {
     // Full multi-chain searches are seconds each on the TPC-H pair; a
     // smaller sample keeps the CI smoke bounded.
     let mut c = c.clone().sample_size(5);
     let mut g = c.benchmark_group("mcmc_multichain");
-    let ts = par_tables();
-    for workers in [1usize, 4] {
-        let two_key = two_key_setup(workers);
-        let tpch = tpch_search_setup(workers, &ts);
-        for chains in [1usize, 2, 4, 8] {
-            g.bench_with_input(
-                BenchmarkId::new("two_key", format!("{chains}c{workers}w")),
-                &(&two_key, chains),
-                |b, (s, n)| b.iter(|| s.run_seeded(17, *n, 40)),
-            );
-            g.bench_with_input(
-                BenchmarkId::new("tpch_li_ps", format!("{chains}c{workers}w")),
-                &(&tpch, chains),
-                |b, (s, n)| b.iter(|| s.run_seeded(17, *n, 8)),
-            );
-            // Sequential reference: the same chains run one after another
-            // as independent searches, at 1 worker only.
-            if workers == 1 && chains > 1 {
-                g.bench_with_input(
-                    BenchmarkId::new("two_key_seqref", format!("{chains}c1w")),
-                    &(&two_key, chains),
-                    |b, (s, n)| {
-                        b.iter(|| {
-                            for k in 0..*n {
-                                s.run_seeded(dance_core::chain_seed(17, k), 1, 40);
-                            }
-                        })
-                    },
-                );
-                g.bench_with_input(
-                    BenchmarkId::new("tpch_li_ps_seqref", format!("{chains}c1w")),
-                    &(&tpch, chains),
-                    |b, (s, n)| {
-                        b.iter(|| {
-                            for k in 0..*n {
-                                s.run_seeded(dance_core::chain_seed(17, k), 1, 8);
-                            }
-                        })
-                    },
-                );
-            }
-        }
+    let two_key = two_key_setup(1);
+    let tpch = tpch_search_setup(&par_tables());
+    for chains in [1usize, 2, 4, 8] {
+        g.bench_with_input(
+            BenchmarkId::new("two_key", format!("{chains}c1w")),
+            &(&two_key, chains),
+            |b, (s, n)| b.iter(|| s.run_seeded(17, *n, 40)),
+        );
+        g.bench_with_input(
+            BenchmarkId::new("tpch_li_ps", format!("{chains}c1w")),
+            &(&tpch, chains),
+            |b, (s, n)| b.iter(|| s.run_seeded(17, *n, 8)),
+        );
     }
     g.finish();
 }

@@ -26,11 +26,14 @@
 //! Everything stays **bit-identical** to a full [`JoinGraph::refresh_sample`]
 //! with the equivalently patched table: same weights, same cached
 //! selections, same downstream seeded search results. The win is purely
-//! algorithmic — O(delta) patching instead of O(sample) recounting.
+//! algorithmic — O(delta) patching instead of O(sample) recounting — and
+//! the whole update runs on the calling thread, whatever executor the graph
+//! was built with: per-update work this small loses to the cost of
+//! spawning workers.
 
 use crate::join_graph::JoinGraph;
 use dance_info::ji::PairPartials;
-use dance_relation::{AttrSet, FxHashMap, Result, SymKey, TableDelta};
+use dance_relation::{AttrSet, Executor, FxHashMap, Result, SymKey, TableDelta};
 use std::sync::Arc;
 
 impl JoinGraph {
@@ -143,8 +146,10 @@ impl JoinGraph {
         }
 
         // Re-weigh incident edges through the shared round, which folds the
-        // maintained category tables wherever they exist.
-        self.reweigh(&incident)
+        // maintained category tables wherever they exist. It runs on the
+        // calling thread: the round only folds patched histograms, too
+        // little work to pay for spawning workers.
+        self.reweigh(&incident, Executor::new(1))
     }
 }
 

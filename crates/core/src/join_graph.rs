@@ -15,17 +15,20 @@
 //!
 //! ## Parallel construction
 //!
-//! Edge weights come from one re-weigh round over a set of I-edges, which
-//! fans out across the [`Executor`] threaded in through [`JoinGraphConfig`]:
-//! first one histogram task per distinct (instance, candidate-join-set) the
-//! cache does not hold, then one JI task per (instance-pair,
-//! candidate-join-set). Each task runs its counting kernel sequentially
-//! inside its worker; results are folded back in the sequential enumeration
-//! order, so the produced edges and weights are identical at every thread
-//! count. [`JoinGraph::build`] runs the round on every edge;
-//! [`JoinGraph::refresh_sample`] and [`JoinGraph::apply_delta`] run it on the
-//! edges incident to the changed instance, drawing partner-side histograms
-//! from the persistent cache instead of recounting partner samples. Eviction
+//! Edge weights come from one re-weigh round over a set of I-edges: first
+//! one histogram task per distinct (instance, candidate-join-set) the cache
+//! does not hold, then one JI task per (instance-pair, candidate-join-set).
+//! Each task runs its counting kernel sequentially inside its worker;
+//! results are folded back in the sequential enumeration order, so the
+//! produced edges and weights are identical at every thread count.
+//! [`JoinGraph::build`] runs the round on every edge and
+//! [`JoinGraph::refresh_sample`] on the edges incident to the refreshed
+//! instance, both fanned out across the [`Executor`] threaded in through
+//! [`JoinGraphConfig`]: they recount whole sample histograms, which is the
+//! only work here that pays for spawning threads. [`JoinGraph::apply_delta`]
+//! runs the round on the calling thread, since it only folds patched
+//! histograms. Refresh and delta rounds draw partner-side histograms from
+//! the persistent cache instead of recounting partner samples. Eviction
 //! is two-fold: an instance's entries are dropped when its sample is replaced
 //! (staleness), and the cache is stamped-LRU bounded by
 //! [`JoinGraphConfig::hist_cache_cap`] total entries (memory bound) —
@@ -280,7 +283,7 @@ impl JoinGraph {
             full_memo: ShardedLru::new(cfg.proj_cache_cap),
         };
         let all: Vec<u32> = (0..graph.i_edges.len() as u32).collect();
-        graph.reweigh(&all)?;
+        graph.reweigh(&all, cfg.executor)?;
         Ok(graph)
     }
 
@@ -292,14 +295,14 @@ impl JoinGraph {
     /// The (instance, candidate) histograms the round reads are enumerated
     /// once each, in edge/candidate/side order. Cached ones are stamped;
     /// missing ones (a refreshed instance, or entries the cap evicted) are
-    /// counted in parallel and inserted. Candidate join sets repeat heavily
+    /// counted over `exec` and inserted. Candidate join sets repeat heavily
     /// across partners (every pair sharing an attribute probes its
     /// singleton), so each distinct histogram is one task and every incident
     /// edge reads the shared result. One JI task per (edge, candidate) then
     /// folds either the maintained [`PairPartials`] table (delta upkeep) or
     /// the two histograms — identical bits either way. `par_map` returns in
     /// item order, so weights are identical at every thread count.
-    pub(crate) fn reweigh(&mut self, edges: &[u32]) -> Result<()> {
+    pub(crate) fn reweigh(&mut self, edges: &[u32], exec: Executor) -> Result<()> {
         let mut slots: FxHashMap<(u32, AttrSet), usize> = FxHashMap::default();
         let mut keys: Vec<(u32, AttrSet)> = Vec::new();
         let mut handles: Vec<Option<Arc<SymCounts>>> = Vec::new();
@@ -321,8 +324,7 @@ impl JoinGraph {
         let needed: Vec<usize> = (0..handles.len())
             .filter(|&s| handles[s].is_none())
             .collect();
-        let counted: Vec<SymCounts> = self
-            .exec
+        let counted: Vec<SymCounts> = exec
             .par_map(&needed, |_, &s| {
                 let (side, cand) = &keys[s];
                 sym_counts(&self.samples[*side as usize], cand)
@@ -339,7 +341,7 @@ impl JoinGraph {
             .map(|h| h.expect("every missing histogram was just counted"))
             .collect();
 
-        let jis: Vec<f64> = self.exec.par_map(&items, |_, &(e, c, sa, sb)| {
+        let jis: Vec<f64> = exec.par_map(&items, |_, &(e, c, sa, sb)| {
             let edge = &self.i_edges[e as usize];
             let cand = &self.candidates[e as usize][c as usize];
             match self.partials.peek(&(edge.a, edge.b, cand.clone())) {
@@ -428,7 +430,7 @@ impl JoinGraph {
         self.proj_cache.retain(|&(v, _, _)| v != i);
         self.eval_memo.retain(|(scope, _)| !scope.touches(i));
         let incident = self.adj[i as usize].clone();
-        self.reweigh(&incident)
+        self.reweigh(&incident, self.exec)
     }
 
     /// All I-edges.
@@ -647,8 +649,8 @@ impl JoinGraph {
         self.full_memo.retain(|_| false);
     }
 
-    /// The executor the graph was built on; multi-chain searches
-    /// ([`crate::multichain`]) fan their chains out over it.
+    /// The executor the graph was built on; [`Self::build`] and
+    /// [`Self::refresh_sample`] run their re-weigh rounds over it.
     pub fn executor(&self) -> Executor {
         self.exec
     }

@@ -15,7 +15,7 @@
 //! | 5.1 | Landmark shortest paths, minimal weighted I-graph | [`landmark`], [`igraph`] |
 //! | 5.1 (ablation) | Exact Dreyfus–Wagner Steiner tree | [`steiner`] |
 //! | 5.2, Alg 1 | MCMC over AS-layer | [`mcmc`] |
-//! | 5.2 (portfolio) | Parallel multi-chain best-of-N | [`multichain`] |
+//! | 5.2 (portfolio) | Sequential multi-chain best-of-N ([`McmcConfig::chains`]) | [`mcmc`] |
 //! | 6.1 | LP / GP brute-force baselines | [`baseline`] |
 //! | 2.1, Fig 1 | Offline/online middleware facade | [`dance`] |
 //!
@@ -33,7 +33,6 @@ pub mod join_graph;
 pub mod landmark;
 pub mod lattice;
 pub mod mcmc;
-pub mod multichain;
 pub mod plan;
 pub mod request;
 pub mod steiner;
@@ -46,7 +45,6 @@ pub use join_graph::{
     JoinGraph, JoinGraphConfig, DEFAULT_EVAL_MEMO_CAP, DEFAULT_HIST_CACHE_CAP,
     DEFAULT_PARTIALS_CACHE_CAP, DEFAULT_PROJ_CACHE_CAP, DEFAULT_SEL_CACHE_CAP,
 };
-pub use mcmc::{McmcConfig, TargetGraph};
-pub use multichain::{chain_seed, chain_temperature};
+pub use mcmc::{chain_seed, McmcConfig, TargetGraph};
 pub use plan::{AcquisitionPlan, PlanMetrics};
 pub use request::{AcquisitionRequest, Constraints};

@@ -43,8 +43,8 @@
 //!   vertex with its sample generation and its membership in `free`, the
 //!   tree edges in order, the candidate index per edge, both covers, the
 //!   source/target attributes, and the §3.2 re-sampling and AFD settings.
-//!   Constraints, seed, temperature, chain count and iterations stay out of
-//!   it: they only steer the walk, never what a state evaluates to.
+//!   Constraints, seed, chain count and iterations stay out of it: they
+//!   only steer the walk, never what a state evaluates to.
 //!
 //! §3.2 re-sampling keeps firing on the *composed* selection via
 //! [`dance_sampling::resample::BoundedHook`] with unchanged step/seed
@@ -57,16 +57,34 @@ use crate::request::Constraints;
 use crate::target::Cover;
 use dance_info::correlation::{correlation_with, CorrOptions};
 use dance_quality::tane::TaneConfig;
-use dance_relation::hash::stable_hash64;
+use dance_relation::hash::{splitmix64, stable_hash64};
 use dance_relation::join::JoinEdge;
 use dance_relation::sel::TreeJoin;
 use dance_relation::{AttrSet, FxHashMap, FxHashSet, RelationError, Result, Table};
 use dance_sampling::resample::{join_tree_bounded, BoundedHook, ResampleConfig};
 use rand::rngs::StdRng;
-use rand::RngExt;
+use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
+
+/// Per-chain golden-ratio stride fed through `splitmix64`, the standard
+/// recipe for decorrelating sequential seed indices.
+const CHAIN_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The RNG seed for chain `k` of a search seeded with `base`.
+///
+/// Chain 0 uses `base` verbatim — that is what keeps a multi-chain search's
+/// first chain bit-exact with the single-chain walk. Later chains mix the
+/// index through [`splitmix64`] so nearby base seeds do not produce
+/// overlapping chain streams.
+pub fn chain_seed(base: u64, chain: usize) -> u64 {
+    if chain == 0 {
+        base
+    } else {
+        splitmix64(base.wrapping_add((chain as u64).wrapping_mul(CHAIN_SEED_STRIDE)))
+    }
+}
 
 /// Tuning for Algorithm 1.
 #[derive(Debug, Clone)]
@@ -79,20 +97,12 @@ pub struct McmcConfig {
     pub resample: Option<ResampleConfig>,
     /// AFD discovery settings for the quality estimate (Def 2.3).
     pub tane: TaneConfig,
-    /// Number of independent MCMC chains ([`crate::multichain`]). `1` (the
-    /// default) is the plain single-chain walk; `N > 1` runs N independently
-    /// seeded chains — seeds derived per chain index from [`Self::seed`] —
-    /// fanned over the graph's executor, and returns the deterministic
-    /// best-of-N (first strict correlation maximum in chain-index order).
-    /// The result for a given `(seed, chains)` is bit-identical at every
-    /// thread count. `0` is treated as `1`.
+    /// Number of independent MCMC chains. `1` (the default) is the plain
+    /// single-chain walk; `N > 1` runs N chains one after another on the
+    /// calling thread, chain `k` seeded with [`chain_seed`]`(seed, k)`, and
+    /// returns the best-of-N (first strict correlation maximum in chain
+    /// order). `0` is treated as `1`.
     pub chains: usize,
-    /// Temperature-ladder increment for multi-chain search: chain `k` runs
-    /// at `T_k = 1 + k * temperature_step`, accepting with probability
-    /// `min(1, (CORR'/CORR)^(1/T_k))`. Chain 0 always runs at `T = 1`
-    /// (exactly the single-chain acceptance rule); `0.0` (the default) keeps
-    /// every chain at `T = 1`. Ignored when `chains <= 1`.
-    pub temperature_step: f64,
 }
 
 impl Default for McmcConfig {
@@ -107,7 +117,6 @@ impl Default for McmcConfig {
                 max_attrs: 12,
             },
             chains: 1,
-            temperature_step: 0.0,
         }
     }
 }
@@ -614,11 +623,10 @@ impl<'a> EvalEngine<'a> {
 ///
 /// Returns the best constraint-satisfying state visited, or `None` when no
 /// visited state satisfied the constraints. Proposals evaluate through the
-/// incremental engine (see the module docs). The walk always runs through
-/// [`crate::multichain`]: [`McmcConfig::chains`] > 1 fans it into N
-/// independently seeded parallel chains with a deterministic best-of-N
-/// reduction, and a single chain is exactly the seeded walk at `T = 1` —
-/// see that module for the seed/temperature/determinism contract.
+/// incremental engine (see the module docs). [`McmcConfig::chains`] = N runs
+/// N seeded walks in chain order through one engine and keeps the first
+/// strict correlation maximum; chain 0 uses the base seed verbatim, so a
+/// single chain is exactly the seeded walk.
 #[allow(clippy::too_many_arguments)]
 pub fn find_optimal_target_graph(
     graph: &JoinGraph,
@@ -663,77 +671,48 @@ pub fn find_optimal_target_graph(
         })
         .collect();
 
-    crate::multichain::multichain_search(
-        graph,
-        free,
-        tree_edges,
-        &cands,
-        &assignment,
-        source_cover,
-        target_cover,
-        source_attrs,
-        target_attrs,
-        constraints,
-        cfg,
-    )
-}
-
-/// One seeded chain of Algorithm 1's walk over a prepared candidate space:
-/// builds the [`EvalEngine`] over the graph's caches and runs [`walk_chain`]
-/// with it. [`crate::multichain`] calls this once per chain, with the
-/// chain's derived RNG and its ladder temperature.
-#[allow(clippy::too_many_arguments)] // mirrors find_optimal_target_graph's surface
-pub(crate) fn run_single_chain(
-    graph: &JoinGraph,
-    free: &FxHashSet<u32>,
-    tree_edges: &[(u32, u32)],
-    cands: &[&[AttrSet]],
-    initial: &[u32],
-    source_cover: &Cover,
-    target_cover: &Cover,
-    source_attrs: &AttrSet,
-    target_attrs: &AttrSet,
-    constraints: &Constraints,
-    cfg: &McmcConfig,
-    temperature: f64,
-    rng: &mut StdRng,
-) -> Result<Option<TargetGraph>> {
     let mut engine = EvalEngine::new(
         graph,
         free,
         tree_edges,
-        cands.to_vec(),
+        cands.clone(),
         source_cover,
         target_cover,
         source_attrs,
         target_attrs,
         cfg,
     )?;
-    walk_chain(
-        &mut |idxs: &[u32]| engine.evaluate(idxs),
-        cands,
-        initial,
-        constraints,
-        cfg.iterations,
-        temperature,
-        rng,
-    )
+    // Best-of-N in chain order; strictly-greater keeps ties on the lowest
+    // chain.
+    let mut best: Option<TargetGraph> = None;
+    for k in 0..cfg.chains.max(1) {
+        let found = walk_chain(
+            &mut |idxs: &[u32]| engine.evaluate(idxs),
+            &cands,
+            &assignment,
+            constraints,
+            cfg.iterations,
+            &mut StdRng::seed_from_u64(chain_seed(cfg.seed, k)),
+        )?;
+        if let Some(tg) = found {
+            if best.as_ref().is_none_or(|b| tg.corr > b.corr) {
+                best = Some(tg);
+            }
+        }
+    }
+    Ok(best)
 }
 
 /// The Metropolis walk itself (Algorithm 1 lines 4–13), generic over the
-/// evaluation path. At `temperature == 1.0` the acceptance rule is exactly
-/// the paper's `min(1, CORR'/CORR)` — bit-identical RNG consumption to the
-/// pre-multichain loop — while hotter chains flatten the ratio to
-/// `(CORR'/CORR)^(1/T)` so they cross low-correlation valleys more readily.
-/// States are shared `Arc` handles (memo hits clone no metrics); only the
-/// returned best is unwrapped.
+/// evaluation path, accepting with the paper's `min(1, CORR'/CORR)`. States
+/// are shared `Arc` handles (memo hits clone no metrics); only the returned
+/// best is unwrapped.
 fn walk_chain(
     evaluate: &mut impl FnMut(&[u32]) -> Result<Arc<TargetGraph>>,
     cands: &[&[AttrSet]],
     initial: &[u32],
     constraints: &Constraints,
     iterations: usize,
-    temperature: f64,
     rng: &mut StdRng,
 ) -> Result<Option<TargetGraph>> {
     let mut assignment = initial.to_vec();
@@ -768,15 +747,8 @@ fn walk_chain(
         if !proposal.admits(constraints) {
             continue;
         }
-        // Line 9: Metropolis acceptance on correlation, flattened by the
-        // chain's temperature (T = 1 skips the `powf` entirely so the
-        // single-chain path stays bit-exact with the historical rule).
-        let base = proposal.corr / current.corr.max(1e-12);
-        let ratio = if temperature == 1.0 {
-            base
-        } else {
-            base.powf(1.0 / temperature)
-        };
+        // Line 9: Metropolis acceptance on correlation.
+        let ratio = proposal.corr / current.corr.max(1e-12);
         if ratio >= 1.0 || rng.random::<f64>() < ratio {
             assignment = proposal_assign;
             current = proposal;
@@ -795,7 +767,6 @@ mod tests {
     use crate::join_graph::JoinGraphConfig;
     use dance_market::{DatasetId, DatasetMeta, EntropyPricing};
     use dance_relation::{Executor, Table, Value, ValueType};
-    use rand::SeedableRng;
 
     /// Two instances sharing two possible join attributes:
     /// `mc_good` (correlation-preserving) and `mc_noise` (correlation-killing).
@@ -872,6 +843,25 @@ mod tests {
         let mut tc = Cover::new();
         tc.insert(1, AttrSet::from_names(["mc_tgt"]));
         (sc, tc)
+    }
+
+    #[test]
+    fn chain_zero_uses_the_base_seed_verbatim() {
+        for base in [0u64, 42, u64::MAX] {
+            assert_eq!(chain_seed(base, 0), base);
+        }
+    }
+
+    #[test]
+    fn later_chains_decorrelate_nearby_bases() {
+        // Adjacent base seeds and adjacent chain indices must all map to
+        // distinct derived seeds — the whole point of the splitmix mix.
+        let mut seen = std::collections::HashSet::new();
+        for base in 0..8u64 {
+            for chain in 0..8usize {
+                assert!(seen.insert(chain_seed(base, chain)));
+            }
+        }
     }
 
     #[test]
@@ -1131,7 +1121,6 @@ mod tests {
                             &[0, 0],
                             &Constraints::unbounded(),
                             cfg.iterations,
-                            1.0,
                             &mut StdRng::seed_from_u64(seed),
                         )
                         .unwrap();

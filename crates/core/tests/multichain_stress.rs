@@ -2,9 +2,10 @@
 //! evaluation caches: several searcher threads hammer 8-chain searches on a
 //! shared `RwLock<JoinGraph>` while a seller update (`apply_delta`) lands
 //! mid-loop from the writer. Pins three things: no deadlock between the
-//! shard locks and the fan-out, the cache cap invariants under concurrent
-//! insert/evict pressure, and that a search after the mid-flight update is
-//! bit-identical to a search on a freshly built post-update catalog.
+//! shard locks of searchers sharing one graph, the cache cap invariants
+//! under concurrent insert/evict pressure, and that a search after the
+//! mid-flight update is bit-identical to a search on a freshly built
+//! post-update catalog.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::RwLock;
@@ -145,7 +146,7 @@ fn update() -> TableDelta {
 }
 
 #[test]
-fn concurrent_multichain_searches_survive_a_mid_flight_update() {
+fn concurrent_multi_chain_searches_survive_a_mid_flight_update() {
     let (metas, samples) = catalog();
     for threads in [1usize, 4] {
         let build = |tables: Vec<Table>| {
@@ -175,8 +176,9 @@ fn concurrent_multichain_searches_survive_a_mid_flight_update() {
                 scope.spawn(move || {
                     for round in 0..ROUNDS {
                         let g = graph.read().unwrap();
-                        // 8 chains share one memo and hammer the sharded
-                        // selection/projection caches concurrently.
+                        // 8 chains share one memo; the searcher threads
+                        // hammer the sharded selection/projection caches
+                        // concurrently.
                         let found = search(&g, (s * ROUNDS + round) as u64, 8);
                         assert!(found.is_some(), "unconstrained search found a graph");
                         assert!(

@@ -1,17 +1,14 @@
 //! # dance-executor — scoped-thread fan-out over coarse work items
 //!
 //! A zero-dependency execution layer over `std::thread::scope`. The DANCE
-//! kernels themselves (group-id encoding, histogram folds, selection joins)
-//! run sequentially: they work on the small samples the offline phase buys,
-//! and row-chunking them lost to the single pass at every thread count. What
-//! stays parallel are the coarse fan-outs — one histogram or JI task per
-//! join-graph item, one seeded walk per MCMC chain — and they share two
-//! primitives:
-//!
-//! * [`Executor::par_map`] — map a closure over a slice of work items with
-//!   atomic work stealing, returning results **in item order**;
-//! * [`Executor::par_map_init`] — the same with per-item state (an
-//!   independently seeded RNG per chain).
+//! kernels themselves (group-id encoding, histogram folds, selection joins),
+//! the MCMC search and seller-delta upkeep run sequentially on the calling
+//! thread: they work on the small samples the offline phase buys, and
+//! spreading them over threads lost to the single pass at every thread
+//! count. What stays parallel is the join graph's histogram-recounting
+//! re-weigh round ([`Executor::par_map`]): one histogram or JI task per
+//! join-graph item, with atomic work stealing and results returned **in item
+//! order**.
 //!
 //! Workers are spawned per parallel region rather than parked in a
 //! persistent pool, so closures may borrow freely from the enclosing frame.
@@ -22,10 +19,10 @@
 //!
 //! ## Determinism contract
 //!
-//! The primitives only guarantee *placement*: mapped results arrive in item
-//! order, regardless of which worker ran what when. Callers that need
-//! bit-identical output across thread counts must make each item's result a
-//! function of the item alone.
+//! [`Executor::par_map`] only guarantees *placement*: mapped results arrive
+//! in item order, regardless of which worker ran what when. Callers that
+//! need bit-identical output across thread counts must make each item's
+//! result a function of the item alone.
 //!
 //! ## Configuration
 //!
@@ -85,15 +82,6 @@ impl Executor {
         self.threads
     }
 
-    /// A scoped-thread region: plain [`std::thread::scope`], provided so call
-    /// sites spawn through the executor rather than importing `std::thread`.
-    pub fn scope<'env, F, T>(&self, f: F) -> T
-    where
-        F: for<'scope> FnOnce(&'scope std::thread::Scope<'scope, 'env>) -> T,
-    {
-        std::thread::scope(f)
-    }
-
     /// Map `f` over coarse work items with atomic work stealing: workers pull
     /// the next unclaimed index until the slice is drained, so uneven item
     /// costs (e.g. join-informativeness over histograms of very different
@@ -113,7 +101,7 @@ impl Executor {
         }
         let cursor = AtomicUsize::new(0);
         let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        self.scope(|s| {
+        std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     s.spawn({
@@ -141,29 +129,6 @@ impl Executor {
             }
         });
         slots.into_iter().map(|r| r.unwrap()).collect()
-    }
-
-    /// [`Self::par_map`] with **per-item state**: each work item `i` first
-    /// gets its own `init(i)` (e.g. an independently seeded RNG), then
-    /// `f(&mut state, i, &items[i])` runs with exclusive access to it.
-    ///
-    /// Because the state is created per *item* — never shared across items or
-    /// reused across a worker's steals — the result for item `i` is a pure
-    /// function of `(i, items[i])`, independent of which worker ran it when.
-    /// That is what lets multi-chain MCMC fan N seeded walks over the pool
-    /// and stay bit-identical at every thread count. Results come back in
-    /// item order; sequential executors and trivial inputs run inline.
-    pub fn par_map_init<T, S, R, I, F>(&self, items: &[T], init: I, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        I: Fn(usize) -> S + Sync,
-        F: Fn(&mut S, usize, &T) -> R + Sync,
-    {
-        self.par_map(items, |i, t| {
-            let mut state = init(i);
-            f(&mut state, i, t)
-        })
     }
 }
 
@@ -229,47 +194,6 @@ mod tests {
             .map(String::as_str)
             .or_else(|| payload.downcast_ref::<&str>().copied());
         assert_eq!(msg, Some("boom at item 2"));
-    }
-
-    #[test]
-    fn par_map_init_threads_per_item_state_in_item_order() {
-        // A tiny LCG per item: the result depends only on the item's own
-        // seed and index, so every thread count produces identical output.
-        let items: Vec<u64> = (0..23).collect();
-        let run = |threads: usize| {
-            Executor::new(threads).par_map_init(
-                &items,
-                |i| 0x9E37_79B9u64.wrapping_mul(i as u64 + 1),
-                |state, i, &x| {
-                    for _ in 0..=i {
-                        *state = state
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                    }
-                    (*state).wrapping_add(x)
-                },
-            )
-        };
-        let reference = run(1);
-        for threads in [2, 3, 8] {
-            assert_eq!(run(threads), reference, "threads = {threads}");
-        }
-        let none: Vec<u64> = Vec::new();
-        assert!(Executor::new(4)
-            .par_map_init(&none, |_| 0u64, |_, _, &x: &u64| x)
-            .is_empty());
-    }
-
-    #[test]
-    fn scope_joins_borrowing_workers() {
-        let data = [1u64, 2, 3];
-        let e = Executor::new(2);
-        let total: u64 = e.scope(|s| {
-            let h1 = s.spawn(|| data[0] + data[1]);
-            let h2 = s.spawn(|| data[2]);
-            h1.join().unwrap() + h2.join().unwrap()
-        });
-        assert_eq!(total, 6);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! on the dense group-id kernel ([`dance_relation::group_ids`]): no boxed
 //! keys are materialized at any point.
 
-use dance_relation::{group_ids, AttrSet, Result, SymCounts, SymJointCounts, Table};
+use dance_relation::{group_ids, AttrSet, Result, Table};
 
 /// Entropy (bits) of a discrete distribution given by `counts` with total `n`.
 ///
@@ -29,32 +29,6 @@ pub fn entropy_from_counts(counts: impl IntoIterator<Item = u64>, n: u64) -> f64
     }
     // Clamp tiny negative rounding residue.
     h.max(0.0)
-}
-
-/// Entropy (bits) straight off a symbol histogram, folded in **sorted-key
-/// order** — a canonical summation order independent of hash-map iteration.
-/// Two histograms holding the same key → count map (e.g. one delta-patched
-/// via [`SymCounts::apply_delta`], one freshly recounted) therefore produce
-/// bit-identical entropy.
-pub fn entropy_from_sym_counts(h: &SymCounts) -> f64 {
-    let mut items: Vec<(&dance_relation::SymKey, u64)> =
-        h.counts().iter().map(|(k, &c)| (k, c)).collect();
-    items.sort_unstable_by(|a, b| a.0.cmp(b.0));
-    entropy_from_counts(items.into_iter().map(|(_, c)| c), h.total())
-}
-
-/// Mutual information `I(X; Y)` straight off a joint symbol histogram, with
-/// every marginal/joint entropy folded in sorted-key order — the
-/// delta-maintainable counterpart of [`mutual_information`] (same canonical
-/// determinism guarantee as [`entropy_from_sym_counts`]).
-pub fn mi_from_sym_joint(j: &SymJointCounts) -> f64 {
-    let hx = entropy_from_sym_counts(&j.x);
-    let hy = entropy_from_sym_counts(&j.y);
-    let mut items: Vec<(&(dance_relation::SymKey, dance_relation::SymKey), u64)> =
-        j.xy.iter().map(|(k, &c)| (k, c)).collect();
-    items.sort_unstable_by(|a, b| a.0.cmp(b.0));
-    let hxy = entropy_from_counts(items.into_iter().map(|(_, c)| c), j.n);
-    (hx + hy - hxy).max(0.0)
 }
 
 /// Empirical Shannon entropy `H(attrs)` of a table (compound key).
@@ -81,7 +55,7 @@ pub fn mutual_information(t: &Table, x: &AttrSet, y: &AttrSet) -> Result<f64> {
     let n = t.num_rows() as u64;
     let hx = entropy_from_counts(gx.counts(), n);
     let hy = entropy_from_counts(gy.counts(), n);
-    let hxy = entropy_from_counts(joint.grouping().counts(), n);
+    let hxy = entropy_from_counts(joint.counts(), n);
     Ok((hx + hy - hxy).max(0.0))
 }
 

@@ -27,7 +27,6 @@ pub mod ji;
 pub use correlation::{correlation, correlation_with, CorrOptions};
 pub use cumulative::{conditional_cumulative_entropy, cumulative_entropy};
 pub use entropy::{
-    conditional_entropy, entropy_from_counts, entropy_from_sym_counts, joint_entropy,
-    mi_from_sym_joint, mutual_information, shannon_entropy,
+    conditional_entropy, entropy_from_counts, joint_entropy, mutual_information, shannon_entropy,
 };
 pub use ji::{ji_from_sym_counts, join_informativeness, PairPartials};

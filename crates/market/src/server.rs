@@ -220,7 +220,6 @@ enum TokenEntry {
 /// One remembered `OpenSession` outcome, for retried opens.
 #[derive(Debug)]
 struct OpenRecord {
-    session: u64,
     token: u64,
     digest: u64,
     frame: Vec<u8>,
@@ -255,14 +254,7 @@ struct Registry {
 }
 
 impl Registry {
-    fn record_open(
-        &mut self,
-        key: (u64, u64),
-        session: u64,
-        token: u64,
-        digest: u64,
-        frame: &[u8],
-    ) {
+    fn record_open(&mut self, key: (u64, u64), token: u64, digest: u64, frame: &[u8]) {
         let mut buf = if self.open_order.len() >= OPEN_DEDUP_CAP {
             match self.open_order.pop_front() {
                 Some(old) => self.opens.remove(&old).map(|r| r.frame).unwrap_or_default(),
@@ -278,7 +270,6 @@ impl Registry {
             .insert(
                 key,
                 OpenRecord {
-                    session,
                     token,
                     digest,
                     frame: buf,
@@ -698,24 +689,47 @@ fn park_connection(shared: &Shared, conn_id: u64, sessions: HashMap<u64, ConnSes
 /// request (exactly-once records).
 enum Recorded {
     Nothing,
-    Open {
-        shopper: u64,
-        session: u64,
-        token: u64,
-    },
-    Op {
-        session: u64,
-    },
-    Close {
-        session: u64,
-        token: u64,
-    },
+    Open { shopper: u64, token: u64 },
+    Op { session: u64 },
+    Close { session: u64, token: u64 },
 }
 
 enum OpenDedup {
     Hit,
     Busy,
     Miss,
+}
+
+/// Move the session parked under `token` into connection `conn_id`'s
+/// `sessions` and mark the token attached to that connection. The caller
+/// holds the registry lock and has seen `token` parked.
+fn reattach(
+    reg: &mut Registry,
+    token: u64,
+    conn_id: u64,
+    sessions: &mut HashMap<u64, ConnSession>,
+) {
+    let Some(TokenEntry::Parked(parked)) = reg
+        .tokens
+        .insert(token, TokenEntry::Attached { conn: conn_id })
+    else {
+        unreachable!("reattach is only called on a parked token");
+    };
+    let Parked {
+        shopper,
+        session,
+        replay,
+        ..
+    } = *parked;
+    sessions.insert(
+        session.id().0,
+        ConnSession {
+            shopper,
+            session,
+            token,
+            replay,
+        },
+    );
 }
 
 /// Answer a retried `OpenSession` from the registry: re-attach the
@@ -741,31 +755,12 @@ fn try_dedup_open(
         // retry. Open fresh; the record is overwritten on success.
         return OpenDedup::Miss;
     }
-    let (sid, token) = (rec.session, rec.token);
+    let token = rec.token;
     let attached = match reg.tokens.get(&token) {
         Some(TokenEntry::Attached { conn }) if *conn == conn_id => true,
         Some(TokenEntry::Attached { .. }) => return OpenDedup::Busy,
         Some(TokenEntry::Parked(_)) => {
-            let Some(TokenEntry::Parked(parked)) = reg.tokens.remove(&token) else {
-                return OpenDedup::Miss;
-            };
-            reg.tokens
-                .insert(token, TokenEntry::Attached { conn: conn_id });
-            let Parked {
-                shopper: owner,
-                session,
-                replay,
-                ..
-            } = *parked;
-            sessions.insert(
-                sid,
-                ConnSession {
-                    shopper: owner,
-                    session,
-                    token,
-                    replay,
-                },
-            );
+            reattach(&mut reg, token, conn_id, sessions);
             true
         }
         // The session was closed or its lease reclaimed it: replaying the
@@ -906,11 +901,7 @@ fn handle_frame(
                     let version = session.pinned_version();
                     let token = shared.mgr.session_token(session.id()).0;
                     if shared.mgr.lease().is_some() {
-                        record = Recorded::Open {
-                            shopper,
-                            session: id,
-                            token,
-                        };
+                        record = Recorded::Open { shopper, token };
                     }
                     sessions.insert(
                         id,
@@ -1033,30 +1024,11 @@ fn handle_frame(
                     Some(None)
                 }
                 Some(TokenEntry::Attached { .. }) => Some(Some(Fault::session_busy())),
-                Some(TokenEntry::Parked(_)) => match reg.tokens.remove(&token) {
-                    Some(TokenEntry::Parked(parked)) => {
-                        reg.tokens
-                            .insert(token, TokenEntry::Attached { conn: conn_id });
-                        let Parked {
-                            shopper: owner,
-                            session,
-                            replay,
-                            ..
-                        } = *parked;
-                        shared.counters.resumes.fetch_add(1, Ordering::Relaxed);
-                        sessions.insert(
-                            session.id().0,
-                            ConnSession {
-                                shopper: owner,
-                                session,
-                                token,
-                                replay,
-                            },
-                        );
-                        Some(None)
-                    }
-                    _ => None,
-                },
+                Some(TokenEntry::Parked(_)) => {
+                    reattach(&mut reg, token, conn_id, sessions);
+                    shared.counters.resumes.fetch_add(1, Ordering::Relaxed);
+                    Some(None)
+                }
             };
             drop(reg);
             match hit {
@@ -1077,22 +1049,12 @@ fn handle_frame(
     wire::encode_reply_v(send, wire::PROTOCOL_VERSION, request_id, opcode, &reply);
     match record {
         Recorded::Nothing => {}
-        Recorded::Open {
-            shopper,
-            session,
-            token,
-        } => {
+        Recorded::Open { shopper, token } => {
             if reply.ok().is_some() {
                 let mut reg = shared.registry.lock().unwrap();
                 reg.tokens
                     .insert(token, TokenEntry::Attached { conn: conn_id });
-                reg.record_open(
-                    (shopper, request_id),
-                    session,
-                    token,
-                    digest,
-                    &send[frame_start..],
-                );
+                reg.record_open((shopper, request_id), token, digest, &send[frame_start..]);
             }
         }
         Recorded::Op { session } => {
@@ -1694,6 +1656,8 @@ mod tests {
         let stats = server.shutdown();
         assert_eq!(stats.sessions_opened, 1);
         assert_eq!(stats.replay_hits, 1);
+        // Re-attaching through a replayed open is not a resume.
+        assert_eq!(stats.resumes, 0);
     }
 
     #[test]

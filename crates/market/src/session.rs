@@ -26,8 +26,7 @@
 //! The read path is lock-free by construction: a session owns its snapshot,
 //! budget and ledger outright, and only the money-moving hooks
 //! (`record_session_*` in [`Marketplace`]) ever touch a mutex — a CI
-//! grep-guard keeps mutexes out of this file entirely, matching the
-//! `multichain.rs` lock guard.
+//! grep-guard keeps mutexes out of this file entirely.
 //!
 //! [`SessionManager`] adds the service shell: open/close, per-session stats,
 //! and graceful rejection once `max_sessions` are in flight.

@@ -35,37 +35,6 @@ pub fn group_rows(t: &Table, attrs: &AttrSet) -> Result<FxHashMap<GroupKey, Vec<
     Ok(groups)
 }
 
-/// Joint and marginal counts of two attribute sets over the same table.
-#[derive(Debug, Default)]
-pub struct JointCounts {
-    /// Count per (X-key, Y-key).
-    pub xy: FxHashMap<(GroupKey, GroupKey), u64>,
-    /// Marginal count per X-key.
-    pub x: FxHashMap<GroupKey, u64>,
-    /// Marginal count per Y-key.
-    pub y: FxHashMap<GroupKey, u64>,
-    /// Total rows.
-    pub n: u64,
-}
-
-/// [`JointCounts`] of `x` and `y` over `t`.
-pub fn joint_counts(t: &Table, x: &AttrSet, y: &AttrSet) -> Result<JointCounts> {
-    let xc = t.attr_indices(x)?;
-    let yc = t.attr_indices(y)?;
-    let mut out = JointCounts {
-        n: t.num_rows() as u64,
-        ..JointCounts::default()
-    };
-    for r in 0..t.num_rows() {
-        let kx = row_key(t, r, &xc);
-        let ky = row_key(t, r, &yc);
-        *out.x.entry(kx.clone()).or_insert(0) += 1;
-        *out.y.entry(ky.clone()).or_insert(0) += 1;
-        *out.xy.entry((kx, ky)).or_insert(0) += 1;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,24 +69,6 @@ mod tests {
         let total: usize = g.values().map(Vec::len).sum();
         assert_eq!(total, 5);
         assert_eq!(g.len(), 2);
-    }
-
-    #[test]
-    fn joint_counts_are_consistent() {
-        let j = joint_counts(
-            &t(),
-            &AttrSet::from_names(["hist_a"]),
-            &AttrSet::from_names(["hist_b"]),
-        )
-        .unwrap();
-        assert_eq!(j.n, 5);
-        assert_eq!(j.xy.values().sum::<u64>(), 5);
-        assert_eq!(j.x.values().sum::<u64>(), 5);
-        assert_eq!(j.y.values().sum::<u64>(), 5);
-        // Marginals dominate joints.
-        for ((kx, _), c) in &j.xy {
-            assert!(j.x[kx] >= *c);
-        }
     }
 
     #[test]

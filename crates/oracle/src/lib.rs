@@ -6,8 +6,8 @@
 //! [`dance_relation::Value`] keys, so tests can pin the production kernels
 //! against it:
 //!
-//! * [`histogram`] — per-row value histograms: [`value_counts`],
-//!   [`group_rows`], [`joint_counts`];
+//! * [`histogram`] — per-row value histograms: [`value_counts`] and
+//!   [`group_rows`];
 //! * [`join`] — the value-keyed equi-join [`hash_join`], the per-hop
 //!   materializing tree join [`join_tree`] and its §3.2 bounded variant
 //!   [`join_tree_bounded`];
@@ -26,7 +26,7 @@ pub mod ji;
 pub mod join;
 pub mod partition;
 
-pub use histogram::{group_rows, joint_counts, value_counts, GroupKey, JointCounts};
+pub use histogram::{group_rows, value_counts, GroupKey};
 pub use ji::{ji_from_counts, join_informativeness};
 pub use join::{hash_join, join_tree, join_tree_bounded};
 pub use partition::{Partition, SINGLETON};

@@ -89,10 +89,9 @@ impl Grouping {
     }
 
     /// Joint grouping over `(self, other)` id pairs (both must cover the same
-    /// rows). The result's groups are the distinct id pairs; use
-    /// [`JointGrouping::x_of`]/[`JointGrouping::y_of`] to recover the
-    /// marginal ids of each joint group.
-    pub fn zip(&self, other: &Grouping) -> JointGrouping {
+    /// rows): the result's groups are the distinct id pairs, in
+    /// first-occurrence order.
+    pub fn zip(&self, other: &Grouping) -> Grouping {
         assert_eq!(
             self.ids.len(),
             other.ids.len(),
@@ -101,39 +100,10 @@ impl Grouping {
         let (ids, keys) = encode_with_dict(HashDict::<u64>::default(), self.ids.len(), |r| {
             pack_pair(self.ids[r], other.ids[r])
         });
-        JointGrouping {
-            grouping: Grouping {
-                ids,
-                num_groups: keys.len() as u32,
-            },
-            x_of: keys.iter().map(|&k| (k >> 32) as u32).collect(),
-            y_of: keys.iter().map(|&k| k as u32).collect(),
+        Grouping {
+            ids,
+            num_groups: keys.len() as u32,
         }
-    }
-}
-
-/// A [`Grouping`] over id *pairs*, remembering each joint group's marginals.
-#[derive(Debug, Clone)]
-pub struct JointGrouping {
-    grouping: Grouping,
-    x_of: Vec<u32>,
-    y_of: Vec<u32>,
-}
-
-impl JointGrouping {
-    /// The joint grouping itself.
-    pub fn grouping(&self) -> &Grouping {
-        &self.grouping
-    }
-
-    /// First-coordinate group id of joint group `g`.
-    pub fn x_of(&self, g: usize) -> u32 {
-        self.x_of[g]
-    }
-
-    /// Second-coordinate group id of joint group `g`.
-    pub fn y_of(&self, g: usize) -> u32 {
-        self.y_of[g]
     }
 }
 
@@ -440,15 +410,10 @@ mod tests {
         let gi = group_ids(&table, &AttrSet::from_names(["grp_i"])).unwrap();
         let joint = gs.zip(&gi);
         let direct = group_ids(&table, &AttrSet::from_names(["grp_s", "grp_i"])).unwrap();
-        assert_eq!(joint.grouping().num_groups(), direct.num_groups());
+        assert_eq!(joint.num_groups(), direct.num_groups());
         // Same partition of rows (ids may be permuted but both are
         // first-occurrence ordered, hence identical).
-        assert_eq!(joint.grouping().ids(), direct.ids());
-        // Marginal back-pointers are consistent.
-        for (r, &jg) in joint.grouping().ids().iter().enumerate() {
-            assert_eq!(joint.x_of(jg as usize), gs.ids()[r]);
-            assert_eq!(joint.y_of(jg as usize), gi.ids()[r]);
-        }
+        assert_eq!(joint.ids(), direct.ids());
     }
 
     #[test]

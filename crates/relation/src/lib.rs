@@ -55,13 +55,13 @@ pub mod value;
 
 pub use bitmap::Bitmap;
 pub use column::{Column, ColumnBuilder, ColumnCells, ColumnData, StrDict, StrDictReader};
-/// The coarse work-item executor, re-exported for the crates that fan work
-/// out over it (join-graph re-weighing, multi-chain MCMC); every kernel in
-/// this crate runs sequentially.
+/// The coarse work-item executor, re-exported for the crates that name it
+/// (the join graph's re-weigh round runs over it); every kernel in this
+/// crate runs sequentially.
 pub use dance_executor::Executor;
 pub use delta::TableDelta;
 pub use error::{RelationError, Result};
-pub use group::{group_ids, Grouping, JointGrouping};
+pub use group::{group_ids, Grouping};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use interner::InternerRegistry;
 pub use schema::{attr, AttrId, AttrSet, Attribute, Schema};
@@ -69,9 +69,6 @@ pub use sel::{
     join_sel, join_tree_late, materialize_join, pair_sel, HopPlan, JoinSel, PairSel, TreeJoin,
     TreeSel, NO_ROW,
 };
-pub use sym::{
-    sym_counts, sym_joinable, sym_joint_counts, SymCounts, SymJointCounts, SymKey, SymMatch,
-    SymTranslator,
-};
+pub use sym::{sym_counts, sym_joinable, SymCounts, SymKey, SymMatch, SymTranslator};
 pub use table::Table;
 pub use value::{Value, ValueType};

@@ -407,107 +407,6 @@ pub fn sym_counts(t: &Table, attrs: &AttrSet) -> Result<SymCounts> {
     })
 }
 
-/// Joint and marginal symbol histograms of two attribute sets over one table.
-#[derive(Debug, Clone)]
-pub struct SymJointCounts {
-    /// Marginal histogram of `x` (carries the `x` key metadata).
-    pub x: SymCounts,
-    /// Marginal histogram of `y`.
-    pub y: SymCounts,
-    /// Count per (X-key, Y-key).
-    pub xy: FxHashMap<(SymKey, SymKey), u64>,
-    /// Total rows.
-    pub n: u64,
-}
-
-impl SymJointCounts {
-    /// Patch joint and marginal histograms in place for `delta` applied to
-    /// `before` — the joint counterpart of [`SymCounts::apply_delta`].
-    pub fn apply_delta(
-        &mut self,
-        before: &Table,
-        x: &AttrSet,
-        y: &AttrSet,
-        delta: &TableDelta,
-    ) -> Result<()> {
-        self.x.apply_delta(before, x, delta)?;
-        self.y.apply_delta(before, y, delta)?;
-        let xcols = before.attr_indices(x)?;
-        let ycols = before.attr_indices(y)?;
-        let (xdel, xins) = delta_sym_keys(&self.x.metas, before, &xcols, delta)?;
-        let (ydel, yins) = delta_sym_keys(&self.y.metas, before, &ycols, delta)?;
-        let mut net: FxHashMap<(SymKey, SymKey), i64> = FxHashMap::default();
-        for (kx, ky) in xdel.into_iter().zip(ydel) {
-            *net.entry((kx, ky)).or_insert(0) -= 1;
-        }
-        for (kx, ky) in xins.into_iter().zip(yins) {
-            *net.entry((kx, ky)).or_insert(0) += 1;
-        }
-        for (k, d) in net {
-            if d == 0 {
-                continue;
-            }
-            let cur = self.xy.get(&k).copied().unwrap_or(0) as i64 + d;
-            if cur < 0 {
-                return Err(RelationError::Shape(
-                    "delta drives a joint key count negative".into(),
-                ));
-            }
-            if cur == 0 {
-                self.xy.remove(&k);
-            } else {
-                self.xy.insert(k, cur as u64);
-            }
-        }
-        self.n = self.x.total();
-        Ok(())
-    }
-}
-
-/// Compute [`SymJointCounts`] for attribute sets `x` and `y` of `t`.
-pub fn sym_joint_counts(t: &Table, x: &AttrSet, y: &AttrSet) -> Result<SymJointCounts> {
-    let xcols = t.attr_indices(x)?;
-    let ycols = t.attr_indices(y)?;
-    let gx = crate::group::group_ids(t, x)?;
-    let gy = crate::group::group_ids(t, y)?;
-    let joint = gx.zip(&gy);
-
-    let x_keys = sym_keys(t, &xcols, &gx);
-    let y_keys = sym_keys(t, &ycols, &gy);
-
-    let xc = SymCounts {
-        metas: col_metas(t, &xcols)?,
-        counts: x_keys.iter().cloned().zip(gx.counts()).collect(),
-        n: t.num_rows() as u64,
-    };
-    let yc = SymCounts {
-        metas: col_metas(t, &ycols)?,
-        counts: y_keys.iter().cloned().zip(gy.counts()).collect(),
-        n: t.num_rows() as u64,
-    };
-    let xy = joint
-        .grouping()
-        .counts()
-        .into_iter()
-        .enumerate()
-        .map(|(g, c)| {
-            (
-                (
-                    x_keys[joint.x_of(g) as usize].clone(),
-                    y_keys[joint.y_of(g) as usize].clone(),
-                ),
-                c,
-            )
-        })
-        .collect();
-    Ok(SymJointCounts {
-        x: xc,
-        y: yc,
-        xy,
-        n: t.num_rows() as u64,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,17 +528,6 @@ mod tests {
         let fresh = sym_counts(&after, &on).unwrap();
         assert_eq!(patched.counts(), fresh.counts());
         assert_eq!(patched.total(), fresh.total());
-
-        // Joint histograms patch the same way.
-        let x = AttrSet::from_names(["sym_s"]);
-        let y = AttrSet::from_names(["sym_i", "sym_f"]);
-        let mut pj = sym_joint_counts(&base, &x, &y).unwrap();
-        pj.apply_delta(&base, &x, &y, &d).unwrap();
-        let fj = sym_joint_counts(&after, &x, &y).unwrap();
-        assert_eq!(pj.x.counts(), fj.x.counts());
-        assert_eq!(pj.y.counts(), fj.y.counts());
-        assert_eq!(pj.xy, fj.xy);
-        assert_eq!(pj.n, fj.n);
     }
 
     #[test]

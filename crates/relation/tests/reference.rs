@@ -8,8 +8,8 @@ use dance_oracle::GroupKey;
 use dance_relation::join::{hash_join, JoinEdge, JoinKind};
 use dance_relation::sel::join_tree_late;
 use dance_relation::{
-    sym_counts, sym_joint_counts, AttrSet, ColumnData, FxHashMap, InternerRegistry, SymCounts,
-    Table, Value, ValueType,
+    sym_counts, AttrSet, ColumnData, FxHashMap, InternerRegistry, SymCounts, Table, Value,
+    ValueType,
 };
 
 fn rows_of(t: &Table) -> Vec<Vec<Value>> {
@@ -182,22 +182,4 @@ fn sym_counts_decode_to_value_counts() {
         assert_eq!(decoded(&sc), reference, "{attrs}");
         assert_eq!(sc.total(), 5);
     }
-}
-
-#[test]
-fn sym_joint_counts_decode_to_joint_counts() {
-    let table = typed();
-    let x = AttrSet::from_names(["sym_s"]);
-    let y = AttrSet::from_names(["sym_i", "sym_f"]);
-    let sj = sym_joint_counts(&table, &x, &y).unwrap();
-    let vj = dance_oracle::joint_counts(&table, &x, &y).unwrap();
-    assert_eq!(decoded(&sj.x), vj.x);
-    assert_eq!(decoded(&sj.y), vj.y);
-    let dxy: FxHashMap<(GroupKey, GroupKey), u64> = sj
-        .xy
-        .iter()
-        .map(|((kx, ky), &c)| ((sj.x.decode_key(kx), sj.y.decode_key(ky)), c))
-        .collect();
-    assert_eq!(dxy, vj.xy);
-    assert_eq!(sj.n, vj.n);
 }
