@@ -7,9 +7,8 @@
 //!
 //! * `join_pipeline`: the symbol-native late-materialization tree join on
 //!   2- and 4-hop string-keyed chains, shared vs private dictionaries;
-//! * `seq_vs_par`: the full `JoinGraph::build` on a larger TPC-H instance
-//!   with its re-weigh fan-out at 1/2/4/8 workers (the counting kernels
-//!   themselves are sequential);
+//! * `join_graph_build`: the full `JoinGraph::build` (the offline phase of
+//!   §4) on a larger TPC-H instance;
 //! * `mcmc_search` / `mcmc_multichain`: the MCMC walk from cold caches (one
 //!   chain) and on the warm graph-wide memo (one chain and best-of-N chains
 //!   run in sequence on the calling thread);
@@ -36,7 +35,7 @@ use dance_market::{
 };
 use dance_quality::{discover_afds, quality, Fd, TaneConfig};
 use dance_relation::join::{hash_join, JoinKind};
-use dance_relation::{AttrSet, Executor, InternerRegistry, Table, TableDelta, Value, ValueType};
+use dance_relation::{AttrSet, InternerRegistry, Table, TableDelta, Value, ValueType};
 use dance_sampling::CorrelatedSampler;
 use std::hint::black_box;
 
@@ -51,7 +50,7 @@ fn tables() -> Vec<Table> {
 
 /// The largest catalog the benches use (lineitem is ~150k rows at scale
 /// 100).
-fn par_tables() -> Vec<Table> {
+fn scale100_tables() -> Vec<Table> {
     tpch(&TpchConfig {
         scale: 100.0,
         dirty_fraction: 0.3,
@@ -150,46 +149,33 @@ fn bench_join_pipeline(c: &mut Criterion) {
     g.finish();
 }
 
-/// `JoinGraph::build` on the scale-100 TPC-H catalog with its re-weigh
-/// fan-out (one histogram task per (instance, candidate join set), then one
-/// JI task per edge candidate) at 1/2/4/8 workers. Entries with different
-/// thread suffixes compute identical (bit-for-bit) results; only wall-clock
-/// may differ. `threads=1` is exactly the sequential code path, so it
-/// doubles as the baseline.
-fn bench_seq_vs_par(c: &mut Criterion) {
-    let ts = par_tables();
+/// `JoinGraph::build` on the scale-100 TPC-H catalog: every histogram
+/// count and JI fold of the offline phase (§4) over the full catalog.
+fn bench_join_graph_build(c: &mut Criterion) {
+    let ts = scale100_tables();
     let metas = metas_of(&ts);
 
-    let mut g = c.benchmark_group("seq_vs_par");
+    let mut g = c.benchmark_group("join_graph_build");
 
-    // `JoinGraph::build` consumes its inputs, so the build entries below pay
-    // one catalog clone per iteration — a constant sequential cost identical
-    // at every thread count. This entry measures that clone alone; subtract
-    // it from the build times before computing speedup ratios.
+    // `JoinGraph::build` consumes its inputs, so the build entry below pays
+    // one catalog clone per iteration. This entry measures that clone
+    // alone; subtract it from the build time.
     g.bench_with_input(
         BenchmarkId::new("catalog_clone_baseline", 0),
         &ts,
         |b, ts| b.iter(|| (metas.clone(), ts.to_vec())),
     );
-
-    for threads in [1usize, 2, 4, 8] {
-        // Whole-graph construction: histogram + JI tasks fanned out over the
-        // executor (the offline phase of §4 on the full catalog).
-        let cfg = JoinGraphConfig {
-            executor: Executor::new(threads),
-            ..JoinGraphConfig::default()
-        };
-        g.bench_with_input(
-            BenchmarkId::new("join_graph_build", threads),
-            &ts,
-            |b, ts| {
-                b.iter(|| {
-                    JoinGraph::build(metas.clone(), ts.to_vec(), EntropyPricing::default(), &cfg)
-                        .unwrap()
-                })
-            },
-        );
-    }
+    g.bench_with_input(BenchmarkId::new("scale100", 0), &ts, |b, ts| {
+        b.iter(|| {
+            JoinGraph::build(
+                metas.clone(),
+                ts.to_vec(),
+                EntropyPricing::default(),
+                &JoinGraphConfig::default(),
+            )
+            .unwrap()
+        })
+    });
     g.finish();
 }
 
@@ -277,16 +263,13 @@ fn two_key_tables() -> Vec<Table> {
 
 /// The two-key graph the MCMC unit tests search: two instances sharing a
 /// correlation-preserving and a correlation-killing join attribute.
-fn two_key_setup(workers: usize) -> SearchSetup {
+fn two_key_setup() -> SearchSetup {
     let tables = two_key_tables();
     let graph = JoinGraph::build(
         metas_of(&tables),
         tables,
         EntropyPricing::default(),
-        &JoinGraphConfig {
-            executor: Executor::new(workers),
-            ..JoinGraphConfig::default()
-        },
+        &JoinGraphConfig::default(),
     )
     .unwrap();
     let mut sc = Cover::new();
@@ -316,10 +299,7 @@ fn tpch_search_setup(ts: &[Table]) -> SearchSetup {
         metas_of(&tables),
         tables,
         EntropyPricing::default(),
-        &JoinGraphConfig {
-            executor: Executor::new(1),
-            ..JoinGraphConfig::default()
-        },
+        &JoinGraphConfig::default(),
     )
     .unwrap();
     assert!(
@@ -349,14 +329,14 @@ fn tpch_search_setup(ts: &[Table]) -> SearchSetup {
 /// runs on the calling thread, so there is no worker-count axis.
 fn bench_mcmc_search(c: &mut Criterion) {
     let mut g = c.benchmark_group("mcmc_search");
-    let two_key = two_key_setup(1);
+    let two_key = two_key_setup();
     g.bench_with_input(BenchmarkId::new("two_key_cold", "1w"), &two_key, |b, s| {
         b.iter(|| {
             s.graph.clear_eval_caches();
             s.run_seeded(17, 1, 40)
         })
     });
-    let tpch = tpch_search_setup(&par_tables());
+    let tpch = tpch_search_setup(&scale100_tables());
     g.bench_with_input(BenchmarkId::new("tpch_li_ps_cold", "1w"), &tpch, |b, s| {
         b.iter(|| {
             s.graph.clear_eval_caches();
@@ -378,8 +358,8 @@ fn bench_mcmc_multichain(c: &mut Criterion) {
     // smaller sample keeps the CI smoke bounded.
     let mut c = c.clone().sample_size(5);
     let mut g = c.benchmark_group("mcmc_multichain");
-    let two_key = two_key_setup(1);
-    let tpch = tpch_search_setup(&par_tables());
+    let two_key = two_key_setup();
+    let tpch = tpch_search_setup(&scale100_tables());
     for chains in [1usize, 2, 4, 8] {
         g.bench_with_input(
             BenchmarkId::new("two_key", format!("{chains}c1w")),
@@ -403,21 +383,16 @@ fn bench_mcmc_multichain(c: &mut Criterion) {
 /// and then its inverse, so every iteration starts from the same base state.
 /// The `pair_sel` call after each step charges the rebuild arm for
 /// reconstructing the cached selection the delta arm patches in place.
-/// Single worker throughout — the speedup claimed is algorithmic, not
-/// parallel.
 fn bench_catalog_update(c: &mut Criterion) {
     use dance_datagen::churn::churn_delta;
 
-    let ts = par_tables();
+    let ts = scale100_tables();
     let tables = vec![
         by_name(&ts, "lineitem").clone(),
         by_name(&ts, "partsupp").clone(),
     ];
     let metas = metas_of(&tables);
-    let cfg = JoinGraphConfig {
-        executor: Executor::new(1),
-        ..JoinGraphConfig::default()
-    };
+    let cfg = JoinGraphConfig::default();
     let build = |tables: &[Table]| {
         JoinGraph::build(
             metas.clone(),
@@ -542,7 +517,7 @@ fn bench_session_service(c: &mut Criterion) {
             EntropyPricing::default(),
         ));
         let mgr = SessionManager::new(Arc::clone(&market), SessionManagerConfig::default());
-        let setup = two_key_setup(workers);
+        let setup = two_key_setup();
         let base = market.full_table_for_evaluation(DatasetId(0)).unwrap();
         let fwd = churn_delta(&base, 0.01, 0.01, 42);
         let bwd = fwd.inverse(&base).unwrap();
@@ -633,6 +608,6 @@ fn bench_kernels(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_join_pipeline, bench_seq_vs_par, bench_mcmc_search, bench_mcmc_multichain, bench_catalog_update, bench_session_service, bench_kernels
+    targets = bench_join_pipeline, bench_join_graph_build, bench_mcmc_search, bench_mcmc_multichain, bench_catalog_update, bench_session_service, bench_kernels
 }
 criterion_main!(kernels);

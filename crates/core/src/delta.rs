@@ -26,14 +26,11 @@
 //! Everything stays **bit-identical** to a full [`JoinGraph::refresh_sample`]
 //! with the equivalently patched table: same weights, same cached
 //! selections, same downstream seeded search results. The win is purely
-//! algorithmic — O(delta) patching instead of O(sample) recounting — and
-//! the whole update runs on the calling thread, whatever executor the graph
-//! was built with: per-update work this small loses to the cost of
-//! spawning workers.
+//! algorithmic: O(delta) patching instead of O(sample) recounting.
 
 use crate::join_graph::JoinGraph;
 use dance_info::ji::PairPartials;
-use dance_relation::{AttrSet, Executor, FxHashMap, Result, SymKey, TableDelta};
+use dance_relation::{AttrSet, FxHashMap, Result, SymKey, TableDelta};
 use std::sync::Arc;
 
 impl JoinGraph {
@@ -146,10 +143,8 @@ impl JoinGraph {
         }
 
         // Re-weigh incident edges through the shared round, which folds the
-        // maintained category tables wherever they exist. It runs on the
-        // calling thread: the round only folds patched histograms, too
-        // little work to pay for spawning workers.
-        self.reweigh(&incident, Executor::new(1))
+        // maintained category tables wherever they exist.
+        self.reweigh(&incident)
     }
 }
 
@@ -157,7 +152,7 @@ impl JoinGraph {
 mod tests {
     use crate::join_graph::{JoinGraph, JoinGraphConfig};
     use dance_market::{DatasetId, DatasetMeta, EntropyPricing};
-    use dance_relation::{AttrSet, Executor, RelationError, Table, TableDelta, Value, ValueType};
+    use dance_relation::{AttrSet, RelationError, Table, TableDelta, Value, ValueType};
 
     fn inst(
         name: &str,
@@ -256,10 +251,7 @@ mod tests {
             metas,
             samples,
             EntropyPricing::default(),
-            &JoinGraphConfig {
-                executor: Executor::new(4),
-                ..JoinGraphConfig::default()
-            },
+            &JoinGraphConfig::default(),
         )
         .unwrap()
     }
@@ -375,7 +367,6 @@ mod tests {
                 samples.clone(),
                 EntropyPricing::default(),
                 &JoinGraphConfig {
-                    executor: Executor::new(4),
                     partials_cache_cap: cap,
                     ..JoinGraphConfig::default()
                 },

@@ -13,22 +13,17 @@
 //! AS-vertex prices are estimated from the same samples via the marketplace's
 //! (public) pricing model.
 //!
-//! ## Parallel construction
+//! ## Re-weigh rounds
 //!
 //! Edge weights come from one re-weigh round over a set of I-edges: first
-//! one histogram task per distinct (instance, candidate-join-set) the cache
-//! does not hold, then one JI task per (instance-pair, candidate-join-set).
-//! Each task runs its counting kernel sequentially inside its worker;
-//! results are folded back in the sequential enumeration order, so the
-//! produced edges and weights are identical at every thread count.
-//! [`JoinGraph::build`] runs the round on every edge and
-//! [`JoinGraph::refresh_sample`] on the edges incident to the refreshed
-//! instance, both fanned out across the [`Executor`] threaded in through
-//! [`JoinGraphConfig`]: they recount whole sample histograms, which is the
-//! only work here that pays for spawning threads. [`JoinGraph::apply_delta`]
-//! runs the round on the calling thread, since it only folds patched
-//! histograms. Refresh and delta rounds draw partner-side histograms from
-//! the persistent cache instead of recounting partner samples. Eviction
+//! one histogram count per distinct (instance, candidate-join-set) the
+//! cache does not hold, then one JI fold per (instance-pair,
+//! candidate-join-set), both on the calling thread in the enumeration
+//! order. [`JoinGraph::build`] runs the round on every edge,
+//! [`JoinGraph::refresh_sample`] and [`JoinGraph::apply_delta`] on the
+//! edges incident to the changed instance. Refresh and delta rounds draw
+//! partner-side histograms from the persistent cache instead of recounting
+//! partner samples. Eviction
 //! is two-fold: an instance's entries are dropped when its sample is replaced
 //! (staleness), and the cache is stamped-LRU bounded by
 //! [`JoinGraphConfig::hist_cache_cap`] total entries (memory bound) —
@@ -52,8 +47,7 @@ use dance_info::ji::{ji_from_sym_counts, PairPartials};
 use dance_market::{DatasetMeta, EntropyPricing, PricingModel};
 use dance_relation::sym::MAX_SYM_KEY_ATTRS;
 use dance_relation::{
-    pair_sel, sym_counts, AttrSet, Executor, FxHashMap, PairSel, RelationError, Result, SymCounts,
-    Table,
+    pair_sel, sym_counts, AttrSet, FxHashMap, PairSel, RelationError, Result, SymCounts, Table,
 };
 use std::sync::Arc;
 
@@ -83,10 +77,6 @@ pub struct JoinGraphConfig {
     /// larger shared sets fall back to singletons + the full set. Candidates
     /// wider than a symbol key ([`MAX_SYM_KEY_ATTRS`]) are skipped.
     pub max_enum_join_attrs: usize,
-    /// Executor the build/refresh fan-outs run on (defaults to
-    /// [`Executor::global`], i.e. `DANCE_THREADS`). Stored in the graph so
-    /// refinement rounds reuse it.
-    pub executor: Executor,
     /// Upper bound on *total* cached histograms across all instances
     /// (stamped-LRU; 0 disables). Without a bound the cache holds every
     /// (instance, candidate-set) histogram ever probed — the build-time peak
@@ -116,7 +106,6 @@ impl Default for JoinGraphConfig {
     fn default() -> Self {
         JoinGraphConfig {
             max_enum_join_attrs: 4,
-            executor: Executor::global(),
             hist_cache_cap: DEFAULT_HIST_CACHE_CAP,
             sel_cache_cap: DEFAULT_SEL_CACHE_CAP,
             proj_cache_cap: DEFAULT_PROJ_CACHE_CAP,
@@ -152,8 +141,6 @@ pub struct JoinGraph {
     /// Candidate join attribute sets per edge (aligned with `i_edges`).
     pub(crate) candidates: Vec<Vec<AttrSet>>,
     pricing: EntropyPricing,
-    /// Executor the build ran on; refresh fan-outs reuse it.
-    pub(crate) exec: Executor,
     /// Histogram cache: `(instance, candidate join set) → SymCounts` of that
     /// instance's sample, one entry per candidate recently probed. Evicted on
     /// staleness (an instance's entries drop when its sample is refreshed —
@@ -274,7 +261,6 @@ impl JoinGraph {
             weights: FxHashMap::default(),
             candidates,
             pricing,
-            exec: cfg.executor,
             hists: StampedLru::new(cfg.hist_cache_cap),
             partials: StampedLru::new(cfg.partials_cache_cap),
             sel_cache: ShardedLru::new(cfg.sel_cache_cap),
@@ -283,7 +269,7 @@ impl JoinGraph {
             full_memo: ShardedLru::new(cfg.proj_cache_cap),
         };
         let all: Vec<u32> = (0..graph.i_edges.len() as u32).collect();
-        graph.reweigh(&all, cfg.executor)?;
+        graph.reweigh(&all)?;
         Ok(graph)
     }
 
@@ -295,14 +281,13 @@ impl JoinGraph {
     /// The (instance, candidate) histograms the round reads are enumerated
     /// once each, in edge/candidate/side order. Cached ones are stamped;
     /// missing ones (a refreshed instance, or entries the cap evicted) are
-    /// counted over `exec` and inserted. Candidate join sets repeat heavily
-    /// across partners (every pair sharing an attribute probes its
-    /// singleton), so each distinct histogram is one task and every incident
-    /// edge reads the shared result. One JI task per (edge, candidate) then
-    /// folds either the maintained [`PairPartials`] table (delta upkeep) or
-    /// the two histograms — identical bits either way. `par_map` returns in
-    /// item order, so weights are identical at every thread count.
-    pub(crate) fn reweigh(&mut self, edges: &[u32], exec: Executor) -> Result<()> {
+    /// counted and inserted. Candidate join sets repeat heavily across
+    /// partners (every pair sharing an attribute probes its singleton), so
+    /// each distinct histogram is counted once and every incident edge reads
+    /// the shared result. One JI per (edge, candidate) then folds either the
+    /// maintained [`PairPartials`] table (delta upkeep) or the two
+    /// histograms — identical bits either way.
+    pub(crate) fn reweigh(&mut self, edges: &[u32]) -> Result<()> {
         let mut slots: FxHashMap<(u32, AttrSet), usize> = FxHashMap::default();
         let mut keys: Vec<(u32, AttrSet)> = Vec::new();
         let mut handles: Vec<Option<Arc<SymCounts>>> = Vec::new();
@@ -321,34 +306,29 @@ impl JoinGraph {
             }
         }
 
-        let needed: Vec<usize> = (0..handles.len())
-            .filter(|&s| handles[s].is_none())
-            .collect();
-        let counted: Vec<SymCounts> = exec
-            .par_map(&needed, |_, &s| {
-                let (side, cand) = &keys[s];
-                sym_counts(&self.samples[*side as usize], cand)
-            })
-            .into_iter()
-            .collect::<Result<_>>()?;
-        for (s, hist) in needed.into_iter().zip(counted) {
-            let hist = Arc::new(hist);
-            self.hists.insert(keys[s].clone(), Arc::clone(&hist));
-            handles[s] = Some(hist);
+        for (key, handle) in keys.iter().zip(&mut handles) {
+            if handle.is_none() {
+                let hist = Arc::new(sym_counts(&self.samples[key.0 as usize], &key.1)?);
+                self.hists.insert(key.clone(), Arc::clone(&hist));
+                *handle = Some(hist);
+            }
         }
         let handles: Vec<Arc<SymCounts>> = handles
             .into_iter()
             .map(|h| h.expect("every missing histogram was just counted"))
             .collect();
 
-        let jis: Vec<f64> = exec.par_map(&items, |_, &(e, c, sa, sb)| {
-            let edge = &self.i_edges[e as usize];
-            let cand = &self.candidates[e as usize][c as usize];
-            match self.partials.peek(&(edge.a, edge.b, cand.clone())) {
-                Some(p) => p.ji(),
-                None => ji_from_sym_counts(&handles[sa], &handles[sb]),
-            }
-        });
+        let jis: Vec<f64> = items
+            .iter()
+            .map(|&(e, c, sa, sb)| {
+                let edge = &self.i_edges[e as usize];
+                let cand = &self.candidates[e as usize][c as usize];
+                match self.partials.peek(&(edge.a, edge.b, cand.clone())) {
+                    Some(p) => p.ji(),
+                    None => ji_from_sym_counts(&handles[sa], &handles[sb]),
+                }
+            })
+            .collect();
         let mut jis = jis.into_iter();
         for &e in edges {
             let edge = &mut self.i_edges[e as usize];
@@ -402,8 +382,7 @@ impl JoinGraph {
     }
 
     /// Replace the sample of instance `i` (iterative refinement, §2.1) and
-    /// re-estimate the weights of its incident edges, fanning the partner
-    /// work items out over the graph's executor. An out-of-range `i` is
+    /// re-estimate the weights of its incident edges. An out-of-range `i` is
     /// `UnknownDataset`, with nothing changed.
     ///
     /// Staleness follows the **generation-stamp model**: the replacement
@@ -430,7 +409,7 @@ impl JoinGraph {
         self.proj_cache.retain(|&(v, _, _)| v != i);
         self.eval_memo.retain(|(scope, _)| !scope.touches(i));
         let incident = self.adj[i as usize].clone();
-        self.reweigh(&incident, self.exec)
+        self.reweigh(&incident)
     }
 
     /// All I-edges.
@@ -649,11 +628,12 @@ impl JoinGraph {
         self.full_memo.retain(|_| false);
     }
 
-    /// The executor the graph was built on; [`Self::build`] and
-    /// [`Self::refresh_sample`] run their re-weigh rounds over it.
-    pub fn executor(&self) -> Executor {
-        self.exec
-    }
+    /// Does nothing; exists only because the end-to-end benchmark harness
+    /// (`perfbench/`) still passes its result to
+    /// `dance_sampling::resample::join_tree_bounded_with`. Goes away with the
+    /// in-crate acquisition tracing item of the ROADMAP.
+    #[doc(hidden)]
+    pub fn executor(&self) {}
 
     /// Instances whose schema contains **all** of `attrs`.
     pub fn instances_containing(&self, attrs: &AttrSet) -> Vec<u32> {
@@ -853,38 +833,6 @@ mod tests {
         g.refresh_sample(1, perfect).unwrap();
         let after = g.i_edges()[0].weight;
         assert!(after <= before + 1e-12, "{after} vs {before}");
-    }
-
-    #[test]
-    fn parallel_build_is_bit_identical_to_sequential() {
-        let build = |threads: usize| {
-            let g = toy_graph();
-            JoinGraph::build(
-                g.metas.clone(),
-                g.samples.clone(),
-                EntropyPricing::default(),
-                &JoinGraphConfig {
-                    executor: Executor::new(threads),
-                    ..JoinGraphConfig::default()
-                },
-            )
-            .unwrap()
-        };
-        let reference = build(1);
-        let g = build(4);
-        assert_eq!(g.i_edges.len(), reference.i_edges.len());
-        for (a, b) in g.i_edges.iter().zip(&reference.i_edges) {
-            assert_eq!((a.a, a.b), (b.a, b.b));
-            assert_eq!(
-                a.weight.to_bits(),
-                b.weight.to_bits(),
-                "edge weight diverged at 4 threads"
-            );
-        }
-        assert_eq!(g.weights.len(), reference.weights.len());
-        for (key, w) in &reference.weights {
-            assert_eq!(g.weights[key].to_bits(), w.to_bits());
-        }
     }
 
     /// Histograms instance `v` has cached for its incident edges' candidates.

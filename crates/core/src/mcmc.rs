@@ -766,7 +766,7 @@ mod tests {
     use super::*;
     use crate::join_graph::JoinGraphConfig;
     use dance_market::{DatasetId, DatasetMeta, EntropyPricing};
-    use dance_relation::{Executor, Table, Value, ValueType};
+    use dance_relation::{Table, Value, ValueType};
 
     /// Two instances sharing two possible join attributes:
     /// `mc_good` (correlation-preserving) and `mc_noise` (correlation-killing).
@@ -1047,7 +1047,7 @@ mod tests {
         /// bit-identically through the incremental engine and through the
         /// fresh `evaluate_assignment` reference, on randomized typed/NULL
         /// catalogs: at graph-configured memo caps {0, 1, 512}, cold and
-        /// warm evaluation caches, executors {1, 4}, with and without §3.2
+        /// warm evaluation caches, with and without §3.2
         /// re-sampling (a tiny η forces `TreeSel::retain` on the composed
         /// selection).
         #[test]
@@ -1075,76 +1075,73 @@ mod tests {
                 }),
                 ..McmcConfig::default()
             };
-            for threads in [1usize, 4] {
-                for memo_cap in [0usize, 1, 512] {
-                    let graph = JoinGraph::build(
-                        metas.clone(),
-                        samples.clone(),
-                        EntropyPricing::default(),
-                        &JoinGraphConfig {
-                            executor: Executor::new(threads),
-                            eval_memo_cap: memo_cap,
-                            ..JoinGraphConfig::default()
-                        },
+            for memo_cap in [0usize, 1, 512] {
+                let graph = JoinGraph::build(
+                    metas.clone(),
+                    samples.clone(),
+                    EntropyPricing::default(),
+                    &JoinGraphConfig {
+                        eval_memo_cap: memo_cap,
+                        ..JoinGraphConfig::default()
+                    },
+                )
+                .unwrap();
+                let cands: Vec<&[AttrSet]> = tree_edges
+                    .iter()
+                    .map(|&(a, b)| graph.candidate_join_sets(a, b))
+                    .collect();
+                // Cold evaluation caches first, then warm ones.
+                for _ in 0..2 {
+                    let mut engine = EvalEngine::new(
+                        &graph, &free, &tree_edges, cands.clone(), &sc, &tc, &source,
+                        &target, &cfg,
                     )
                     .unwrap();
-                    let cands: Vec<&[AttrSet]> = tree_edges
-                        .iter()
-                        .map(|&(a, b)| graph.candidate_join_sets(a, b))
-                        .collect();
-                    // Cold evaluation caches first, then warm ones.
-                    for _ in 0..2 {
-                        let mut engine = EvalEngine::new(
-                            &graph, &free, &tree_edges, cands.clone(), &sc, &tc, &source,
-                            &target, &cfg,
-                        )
-                        .unwrap();
-                        let mut visited = 0;
-                        let mut evaluate = |idxs: &[u32]| -> Result<Arc<TargetGraph>> {
-                            let tg = engine.evaluate(idxs)?;
-                            let attrs: Vec<AttrSet> = idxs
-                                .iter()
-                                .zip(&cands)
-                                .map(|(&i, c)| c[i as usize].clone())
-                                .collect();
-                            let reference = evaluate_assignment(
-                                &graph, &free, &tree_edges, &attrs, &sc, &tc, &source, &target,
-                                None, cfg.resample.as_ref(), &cfg.tane,
-                            )?;
-                            assert_same_state(&tg, &reference);
-                            visited += 1;
-                            Ok(tg)
-                        };
-                        walk_chain(
-                            &mut evaluate,
-                            &cands,
-                            &[0, 0],
-                            &Constraints::unbounded(),
-                            cfg.iterations,
-                            &mut StdRng::seed_from_u64(seed),
-                        )
-                        .unwrap();
-                        // Every edge has 3 candidates, so every iteration
-                        // proposes (and checks) one state.
-                        proptest::prop_assert_eq!(visited, cfg.iterations + 1);
-                        proptest::prop_assert!(graph.eval_memo_len() <= memo_cap);
-                    }
-                    proptest::prop_assert!(graph.sel_cache_len() > 0, "selection cache populated");
-                    proptest::prop_assert!(graph.proj_cache_len() > 0, "projection cache populated");
-                    // The warm walk revisits only states the cold one
-                    // memoized: with room for all 9 states it never misses.
-                    let (hits, misses) = graph.eval_memo_stats();
-                    proptest::prop_assert_eq!(hits + misses, 2 * (cfg.iterations as u64 + 1));
-                    if memo_cap == 512 {
-                        proptest::prop_assert!(misses <= 9, "{} misses", misses);
-                    }
-                    // A clear brings back the cold path: the memo, too.
-                    graph.clear_eval_caches();
-                    proptest::prop_assert_eq!(
-                        graph.eval_memo_len() + graph.sel_cache_len() + graph.proj_cache_len(),
-                        0
-                    );
+                    let mut visited = 0;
+                    let mut evaluate = |idxs: &[u32]| -> Result<Arc<TargetGraph>> {
+                        let tg = engine.evaluate(idxs)?;
+                        let attrs: Vec<AttrSet> = idxs
+                            .iter()
+                            .zip(&cands)
+                            .map(|(&i, c)| c[i as usize].clone())
+                            .collect();
+                        let reference = evaluate_assignment(
+                            &graph, &free, &tree_edges, &attrs, &sc, &tc, &source, &target,
+                            None, cfg.resample.as_ref(), &cfg.tane,
+                        )?;
+                        assert_same_state(&tg, &reference);
+                        visited += 1;
+                        Ok(tg)
+                    };
+                    walk_chain(
+                        &mut evaluate,
+                        &cands,
+                        &[0, 0],
+                        &Constraints::unbounded(),
+                        cfg.iterations,
+                        &mut StdRng::seed_from_u64(seed),
+                    )
+                    .unwrap();
+                    // Every edge has 3 candidates, so every iteration
+                    // proposes (and checks) one state.
+                    proptest::prop_assert_eq!(visited, cfg.iterations + 1);
+                    proptest::prop_assert!(graph.eval_memo_len() <= memo_cap);
                 }
+                proptest::prop_assert!(graph.sel_cache_len() > 0, "selection cache populated");
+                proptest::prop_assert!(graph.proj_cache_len() > 0, "projection cache populated");
+                // The warm walk revisits only states the cold one
+                // memoized: with room for all 9 states it never misses.
+                let (hits, misses) = graph.eval_memo_stats();
+                proptest::prop_assert_eq!(hits + misses, 2 * (cfg.iterations as u64 + 1));
+                if memo_cap == 512 {
+                    proptest::prop_assert!(misses <= 9, "{} misses", misses);
+                }
+                // A clear brings back the cold path: the memo, too.
+                graph.clear_eval_caches();
+                proptest::prop_assert_eq!(
+                    graph.eval_memo_len() + graph.sel_cache_len() + graph.proj_cache_len(),
+                    0
+                );
             }
         }
     }

@@ -4,15 +4,13 @@
 //! selections — must be **bit-identical** to a full
 //! rebuild over the patched table, on randomized typed/NULL tables and
 //! randomized insert/delete deltas (including delete-then-reinsert and
-//! delete-to-empty), at executors {1, 4}.
+//! delete-to-empty).
 
 use dance_core::{JoinGraph, JoinGraphConfig};
 use dance_info::{ji_from_sym_counts, PairPartials};
 use dance_market::{DatasetId, DatasetMeta, EntropyPricing};
 use dance_relation::hash::{stable_hash64, unit_interval};
-use dance_relation::{
-    sym_counts, AttrSet, Executor, InternerRegistry, Table, TableDelta, Value, ValueType,
-};
+use dance_relation::{sym_counts, AttrSet, InternerRegistry, Table, TableDelta, Value, ValueType};
 use proptest::prelude::*;
 
 /// A randomized delta against `t`. `mode` cycles the structural edge cases:
@@ -197,7 +195,7 @@ proptest! {
 
     /// `JoinGraph::apply_delta` equals a from-scratch rebuild over the
     /// patched tables: every Property-4.1 weight, every I-edge weight, and
-    /// every cached pair selection, bit-exact, at executors {1, 4}, across
+    /// every cached pair selection, bit-exact, across
     /// two consecutive deltas (the second riding maintained partials), for
     /// plain and registry-interned catalogs.
     #[test]
@@ -213,59 +211,54 @@ proptest! {
             let reg = InternerRegistry::new();
             samples = samples.iter().map(|t| t.intern_into(&reg)).collect();
         }
-        for threads in [1usize, 4] {
-            let build = |tables: Vec<Table>| {
-                JoinGraph::build(
-                    metas.clone(),
-                    tables,
-                    EntropyPricing::default(),
-                    &JoinGraphConfig {
-                        executor: Executor::new(threads),
-                        ..JoinGraphConfig::default()
-                    },
-                )
-                .unwrap()
-            };
-            let mut g = build(samples.clone());
-            // Warm a selection touching the patched instance and one that
-            // does not, so both survival paths are exercised.
-            let partner = (which + 1) % 3;
-            let on = g.candidate_join_sets(which, partner)[0].clone();
-            g.pair_sel(which, partner, &on).unwrap();
-
-            let mut truth_tables = samples.clone();
-            for round in 0..2u64 {
-                let delta = mk_delta(g.sample(which), seed + round, mode + round);
-                g.apply_delta(which, &delta).unwrap();
-                truth_tables[which as usize] =
-                    truth_tables[which as usize].apply_delta(&delta).unwrap();
-            }
-            let truth = build(truth_tables.clone());
-            for e in truth.i_edges() {
-                prop_assert_eq!(
-                    g.edge_between(e.a, e.b).unwrap().weight.to_bits(),
-                    e.weight.to_bits(),
-                    "I-edge ({}, {}) diverged at {} threads", e.a, e.b, threads
-                );
-                for cand in truth.candidate_join_sets(e.a, e.b) {
-                    prop_assert_eq!(
-                        g.weight(e.a, e.b, cand).unwrap().to_bits(),
-                        truth.weight(e.a, e.b, cand).unwrap().to_bits()
-                    );
-                }
-            }
-            // The patched cached selection equals a fresh rebuild.
-            let cached = g.pair_sel(which, partner, &on).unwrap();
-            let fresh = dance_relation::pair_sel(
-                &truth_tables[which as usize],
-                &truth_tables[partner as usize],
-                &on,
+        let build = |tables: Vec<Table>| {
+            JoinGraph::build(
+                metas.clone(),
+                tables,
+                EntropyPricing::default(),
+                &JoinGraphConfig::default(),
             )
-            .unwrap();
-            prop_assert_eq!(cached.num_matches(), fresh.num_matches());
-            for l in 0..fresh.num_left() as u32 {
-                prop_assert_eq!(cached.matches_of(l), fresh.matches_of(l));
+            .unwrap()
+        };
+        let mut g = build(samples.clone());
+        // Warm a selection touching the patched instance and one that
+        // does not, so both survival paths are exercised.
+        let partner = (which + 1) % 3;
+        let on = g.candidate_join_sets(which, partner)[0].clone();
+        g.pair_sel(which, partner, &on).unwrap();
+
+        let mut truth_tables = samples.clone();
+        for round in 0..2u64 {
+            let delta = mk_delta(g.sample(which), seed + round, mode + round);
+            g.apply_delta(which, &delta).unwrap();
+            truth_tables[which as usize] =
+                truth_tables[which as usize].apply_delta(&delta).unwrap();
+        }
+        let truth = build(truth_tables.clone());
+        for e in truth.i_edges() {
+            prop_assert_eq!(
+                g.edge_between(e.a, e.b).unwrap().weight.to_bits(),
+                e.weight.to_bits(),
+                "I-edge ({}, {}) diverged", e.a, e.b
+            );
+            for cand in truth.candidate_join_sets(e.a, e.b) {
+                prop_assert_eq!(
+                    g.weight(e.a, e.b, cand).unwrap().to_bits(),
+                    truth.weight(e.a, e.b, cand).unwrap().to_bits()
+                );
             }
+        }
+        // The patched cached selection equals a fresh rebuild.
+        let cached = g.pair_sel(which, partner, &on).unwrap();
+        let fresh = dance_relation::pair_sel(
+            &truth_tables[which as usize],
+            &truth_tables[partner as usize],
+            &on,
+        )
+        .unwrap();
+        prop_assert_eq!(cached.num_matches(), fresh.num_matches());
+        for l in 0..fresh.num_left() as u32 {
+            prop_assert_eq!(cached.matches_of(l), fresh.matches_of(l));
         }
     }
 }

@@ -14,7 +14,7 @@ use dance_core::mcmc::find_optimal_target_graph;
 use dance_core::target::Cover;
 use dance_core::{Constraints, JoinGraph, JoinGraphConfig, McmcConfig, TargetGraph};
 use dance_market::{DatasetId, DatasetMeta, EntropyPricing};
-use dance_relation::{AttrSet, Executor, FxHashSet, Table, TableDelta, Value, ValueType};
+use dance_relation::{AttrSet, FxHashSet, Table, TableDelta, Value, ValueType};
 
 /// Deterministic 3-instance path catalog (the same shape the props suite
 /// randomizes): d0(ik, sk, src) — d1(ik, sk, jk, jl) — d2(jk, jl, tgt), every
@@ -148,75 +148,72 @@ fn update() -> TableDelta {
 #[test]
 fn concurrent_multi_chain_searches_survive_a_mid_flight_update() {
     let (metas, samples) = catalog();
-    for threads in [1usize, 4] {
-        let build = |tables: Vec<Table>| {
-            JoinGraph::build(
-                metas.clone(),
-                tables,
-                EntropyPricing::default(),
-                &JoinGraphConfig {
-                    executor: Executor::new(threads),
-                    // Small caps so the stress actually churns evictions.
-                    sel_cache_cap: 8,
-                    proj_cache_cap: 8,
-                    ..JoinGraphConfig::default()
-                },
-            )
+    let build = |tables: Vec<Table>| {
+        JoinGraph::build(
+            metas.clone(),
+            tables,
+            EntropyPricing::default(),
+            &JoinGraphConfig {
+                // Small caps so the stress actually churns evictions.
+                sel_cache_cap: 8,
+                proj_cache_cap: 8,
+                ..JoinGraphConfig::default()
+            },
+        )
+        .unwrap()
+    };
+    let graph = RwLock::new(build(samples.clone()));
+    let done = AtomicUsize::new(0);
+    const SEARCHERS: usize = 3;
+    const ROUNDS: usize = 4;
+
+    std::thread::scope(|scope| {
+        for s in 0..SEARCHERS {
+            let graph = &graph;
+            let done = &done;
+            scope.spawn(move || {
+                for round in 0..ROUNDS {
+                    let g = graph.read().unwrap();
+                    // 8 chains share one memo; the searcher threads
+                    // hammer the sharded selection/projection caches
+                    // concurrently.
+                    let found = search(&g, (s * ROUNDS + round) as u64, 8);
+                    assert!(found.is_some(), "unconstrained search found a graph");
+                    assert!(
+                        g.sel_cache_len() <= g.sel_cache_cap(),
+                        "selection cache exceeded its cap under contention"
+                    );
+                    assert!(g.proj_cache_len() <= 8, "projection cache exceeded its cap");
+                    drop(g);
+                    done.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+        }
+        // Land the seller update mid-loop: after the searchers have
+        // completed some rounds but before they have finished.
+        while done.load(Ordering::SeqCst) < SEARCHERS {
+            std::hint::spin_loop();
+        }
+        graph
+            .write()
             .unwrap()
-        };
-        let graph = RwLock::new(build(samples.clone()));
-        let done = AtomicUsize::new(0);
-        const SEARCHERS: usize = 3;
-        const ROUNDS: usize = 4;
+            .apply_delta(0, &update())
+            .expect("mid-flight delta applies");
+    });
 
-        std::thread::scope(|scope| {
-            for s in 0..SEARCHERS {
-                let graph = &graph;
-                let done = &done;
-                scope.spawn(move || {
-                    for round in 0..ROUNDS {
-                        let g = graph.read().unwrap();
-                        // 8 chains share one memo; the searcher threads
-                        // hammer the sharded selection/projection caches
-                        // concurrently.
-                        let found = search(&g, (s * ROUNDS + round) as u64, 8);
-                        assert!(found.is_some(), "unconstrained search found a graph");
-                        assert!(
-                            g.sel_cache_len() <= g.sel_cache_cap(),
-                            "selection cache exceeded its cap under contention"
-                        );
-                        assert!(g.proj_cache_len() <= 8, "projection cache exceeded its cap");
-                        drop(g);
-                        done.fetch_add(1, Ordering::SeqCst);
-                    }
-                });
-            }
-            // Land the seller update mid-loop: after the searchers have
-            // completed some rounds but before they have finished.
-            while done.load(Ordering::SeqCst) < SEARCHERS {
-                std::hint::spin_loop();
-            }
-            graph
-                .write()
-                .unwrap()
-                .apply_delta(0, &update())
-                .expect("mid-flight delta applies");
-        });
-
-        // Post-update searches on the long-lived graph must equal searches
-        // on a catalog freshly built over the patched tables — the update
-        // invalidated exactly the stale shard entries and nothing else.
-        let updated = graph.into_inner().unwrap();
-        let mut patched = samples.clone();
-        patched[0] = patched[0].apply_delta(&update()).unwrap();
-        let fresh = build(patched);
-        for seed in [0u64, 9, 41] {
-            for chains in [1usize, 8] {
-                assert_bit_equal(
-                    &search(&updated, seed, chains),
-                    &search(&fresh, seed, chains),
-                );
-            }
+    // Post-update searches on the long-lived graph must equal searches
+    // on a catalog freshly built over the patched tables — the update
+    // invalidated exactly the stale shard entries and nothing else.
+    let updated = graph.into_inner().unwrap();
+    let mut patched = samples.clone();
+    patched[0] = patched[0].apply_delta(&update()).unwrap();
+    let fresh = build(patched);
+    for seed in [0u64, 9, 41] {
+        for chains in [1usize, 8] {
+            assert_bit_equal(
+                &search(&updated, seed, chains),
+                &search(&fresh, seed, chains),
+            );
         }
     }
 }

@@ -5,9 +5,7 @@ use dance_core::mcmc::find_optimal_target_graph;
 use dance_core::target::{enumerate_covers, Cover};
 use dance_core::{chain_seed, Constraints, JoinGraph, JoinGraphConfig, McmcConfig};
 use dance_market::{DatasetId, DatasetMeta, EntropyPricing};
-use dance_relation::{
-    AttrSet, Executor, FxHashSet, InternerRegistry, Table, TableDelta, Value, ValueType,
-};
+use dance_relation::{AttrSet, FxHashSet, InternerRegistry, Table, TableDelta, Value, ValueType};
 use proptest::prelude::*;
 
 /// Random small marketplace catalogs: 3 instances over overlapping schemas
@@ -157,41 +155,23 @@ proptest! {
         }
     }
 
-    /// Join graphs whose re-weigh fan-out runs on 4 threads carry
-    /// bit-identical edge weights and Property-4.1 weight tables to the
-    /// 1-thread build, and refreshing a sample through the persistent
-    /// histogram cache equals rebuilding from scratch.
+    /// Refreshing a sample with itself through the persistent histogram
+    /// cache (cached partner histograms are reused) leaves every I-edge
+    /// weight bit-identical to a from-scratch build.
     #[test]
-    fn parallel_join_graph_bit_identical(catalog in arb_catalog()) {
+    fn refreshed_join_graph_equals_rebuild(catalog in arb_catalog()) {
         let (metas, samples) = catalog;
-        let build = |threads: usize| {
+        let build = || {
             JoinGraph::build(
                 metas.clone(),
                 samples.clone(),
                 EntropyPricing::default(),
-                &JoinGraphConfig {
-                    executor: Executor::new(threads),
-                    ..JoinGraphConfig::default()
-                },
+                &JoinGraphConfig::default(),
             )
             .unwrap()
         };
-        let reference = build(1);
-        let g = build(4);
-        prop_assert_eq!(g.i_edges().len(), reference.i_edges().len());
-        for (a, b) in g.i_edges().iter().zip(reference.i_edges()) {
-            prop_assert_eq!((a.a, a.b), (b.a, b.b));
-            prop_assert_eq!(&a.common, &b.common);
-            prop_assert_eq!(a.weight.to_bits(), b.weight.to_bits());
-            for cand in g.candidate_join_sets(a.a, a.b) {
-                let wa = g.weight(a.a, a.b, cand).unwrap();
-                let wb = reference.weight(a.a, a.b, cand).unwrap();
-                prop_assert_eq!(wa.to_bits(), wb.to_bits());
-            }
-        }
-        // Refresh instance 1 with its own (unchanged) sample: cached partner
-        // histograms are reused, and every weight must stay bit-identical.
-        let mut refreshed = build(4);
+        let reference = build();
+        let mut refreshed = build();
         refreshed.refresh_sample(1, samples[1].clone()).unwrap();
         for (a, b) in refreshed.i_edges().iter().zip(reference.i_edges()) {
             prop_assert_eq!(a.weight.to_bits(), b.weight.to_bits());
@@ -199,8 +179,8 @@ proptest! {
     }
 
     /// Interned-catalog builds carry **bit-identical** edge weights to plain
-    /// builds, on string-keyed instances with NULLs, at `DANCE_THREADS`-style
-    /// executors {1, 4} — and every weight equals the keyed JI reference
+    /// builds, on string-keyed instances with NULLs — and every weight equals
+    /// the keyed JI reference
     /// directly. This pins the whole symbol path (registry dictionaries,
     /// translator fallback, sorted JI fold) at the graph level.
     #[test]
@@ -208,40 +188,35 @@ proptest! {
         let (metas, samples) = catalog;
         let reg = InternerRegistry::new();
         let interned: Vec<Table> = samples.iter().map(|t| t.intern_into(&reg)).collect();
-        let build = |tables: &Vec<Table>, threads: usize| {
+        let build = |tables: &Vec<Table>| {
             JoinGraph::build(
                 metas.clone(),
                 tables.clone(),
                 EntropyPricing::default(),
-                &JoinGraphConfig {
-                    executor: Executor::new(threads),
-                    ..JoinGraphConfig::default()
-                },
+                &JoinGraphConfig::default(),
             )
             .unwrap()
         };
-        let plain = build(&samples, 1);
-        for threads in [1usize, 4] {
-            let g = build(&interned, threads);
-            prop_assert_eq!(g.i_edges().len(), plain.i_edges().len());
-            for (a, b) in g.i_edges().iter().zip(plain.i_edges()) {
-                prop_assert_eq!((a.a, a.b), (b.a, b.b));
-                prop_assert_eq!(a.weight.to_bits(), b.weight.to_bits(),
-                    "edge ({}, {}) at {} threads", a.a, a.b, threads);
-                for cand in g.candidate_join_sets(a.a, a.b) {
-                    let w = g.weight(a.a, a.b, cand).unwrap();
-                    prop_assert_eq!(w.to_bits(), plain.weight(a.a, a.b, cand).unwrap().to_bits());
-                    let keyed = dance_oracle::join_informativeness(
-                        &samples[a.a as usize], &samples[a.b as usize], cand).unwrap();
-                    prop_assert_eq!(w.to_bits(), keyed.to_bits(), "{} vs keyed {}", w, keyed);
-                }
+        let plain = build(&samples);
+        let g = build(&interned);
+        prop_assert_eq!(g.i_edges().len(), plain.i_edges().len());
+        for (a, b) in g.i_edges().iter().zip(plain.i_edges()) {
+            prop_assert_eq!((a.a, a.b), (b.a, b.b));
+            prop_assert_eq!(a.weight.to_bits(), b.weight.to_bits(),
+                "edge ({}, {})", a.a, a.b);
+            for cand in g.candidate_join_sets(a.a, a.b) {
+                let w = g.weight(a.a, a.b, cand).unwrap();
+                prop_assert_eq!(w.to_bits(), plain.weight(a.a, a.b, cand).unwrap().to_bits());
+                let keyed = dance_oracle::join_informativeness(
+                    &samples[a.a as usize], &samples[a.b as usize], cand).unwrap();
+                prop_assert_eq!(w.to_bits(), keyed.to_bits(), "{} vs keyed {}", w, keyed);
             }
         }
         // Mixed build (interned pairs with plain partner) rides the
         // translator and must still agree.
         let mut mixed = samples.clone();
         mixed[0] = interned[0].clone();
-        let g = build(&mixed, 1);
+        let g = build(&mixed);
         for (a, b) in g.i_edges().iter().zip(plain.i_edges()) {
             prop_assert_eq!(a.weight.to_bits(), b.weight.to_bits());
         }
@@ -300,8 +275,8 @@ proptest! {
 
     /// Multi-chain search is exactly best-of-N over N *independently run*
     /// single chains with the derived seeds (`chain_seed`), bit-exact on
-    /// every metric, on graphs built at executors {1, 4} — i.e. the shared
-    /// engine and cross-chain memo change nothing but wall-clock.
+    /// every metric — i.e. the shared engine and cross-chain memo change
+    /// nothing but wall-clock.
     #[test]
     fn multichain_is_best_of_independent_chains(
         catalog in arb_search_catalog(),
@@ -316,50 +291,45 @@ proptest! {
         tc.insert(2, AttrSet::from_names(["sc_tgt"]));
         let source = AttrSet::from_names(["sc_src"]);
         let target = AttrSet::from_names(["sc_tgt"]);
-        for threads in [1usize, 4] {
-            let graph = JoinGraph::build(
-                metas.clone(),
-                samples.clone(),
-                EntropyPricing::default(),
-                &JoinGraphConfig {
-                    executor: Executor::new(threads),
-                    ..JoinGraphConfig::default()
+        let graph = JoinGraph::build(
+            metas.clone(),
+            samples.clone(),
+            EntropyPricing::default(),
+            &JoinGraphConfig::default(),
+        )
+        .unwrap();
+        let run = |n: usize, seed: u64| {
+            find_optimal_target_graph(
+                &graph,
+                &FxHashSet::default(),
+                &tree_edges,
+                &sc,
+                &tc,
+                &source,
+                &target,
+                &Constraints::unbounded(),
+                &McmcConfig {
+                    iterations: 20,
+                    seed,
+                    chains: n,
+                    ..McmcConfig::default()
                 },
             )
-            .unwrap();
-            let run = |n: usize, seed: u64| {
-                find_optimal_target_graph(
-                    &graph,
-                    &FxHashSet::default(),
-                    &tree_edges,
-                    &sc,
-                    &tc,
-                    &source,
-                    &target,
-                    &Constraints::unbounded(),
-                    &McmcConfig {
-                        iterations: 20,
-                        seed,
-                        chains: n,
-                        ..McmcConfig::default()
-                    },
-                )
-                .unwrap()
-            };
-            let multi = run(chains, seed);
-            // Reference: each chain as its own full single-chain search,
-            // reduced in chain-index order on strictly-greater corr.
-            let mut best: Option<dance_core::TargetGraph> = None;
-            for k in 0..chains {
-                graph.clear_eval_caches();
-                if let Some(tg) = run(1, chain_seed(seed, k)) {
-                    if best.as_ref().is_none_or(|b| tg.corr > b.corr) {
-                        best = Some(tg);
-                    }
+            .unwrap()
+        };
+        let multi = run(chains, seed);
+        // Reference: each chain as its own full single-chain search,
+        // reduced in chain-index order on strictly-greater corr.
+        let mut best: Option<dance_core::TargetGraph> = None;
+        for k in 0..chains {
+            graph.clear_eval_caches();
+            if let Some(tg) = run(1, chain_seed(seed, k)) {
+                if best.as_ref().is_none_or(|b| tg.corr > b.corr) {
+                    best = Some(tg);
                 }
             }
-            assert_same_target(&multi, &best)?;
         }
+        assert_same_target(&multi, &best)?;
     }
 
     /// The graph-wide evaluation memo's key is complete. On one warm graph,

@@ -27,7 +27,7 @@ use dance_market::{
     DatasetId, DatasetMeta, EntropyPricing, Marketplace, ProjectionQuery, SessionConfig,
     SessionManager, SessionManagerConfig, SessionReport,
 };
-use dance_relation::{AttrSet, Executor, FxHashSet, Table, TableDelta, Value, ValueType};
+use dance_relation::{AttrSet, FxHashSet, Table, TableDelta, Value, ValueType};
 
 /// Deterministic 3-instance path catalog: d0(ik, sk, src) — d1(ik, sk, jk,
 /// jl) — d2(jk, jl, tgt), every edge with several candidate join sets so the
@@ -100,7 +100,7 @@ fn catalog_tables() -> Vec<Table> {
 /// The shared shopper-side join graph every session searches: built once
 /// over the (free) evaluation tables, with small cache caps so concurrent
 /// sessions genuinely churn the sharded eval caches.
-fn shared_graph(market: &Marketplace, threads: usize) -> JoinGraph {
+fn shared_graph(market: &Marketplace) -> JoinGraph {
     let metas: Vec<DatasetMeta> = market.catalog();
     let tables: Vec<Table> = metas
         .iter()
@@ -117,7 +117,6 @@ fn shared_graph(market: &Marketplace, threads: usize) -> JoinGraph {
         tables,
         EntropyPricing::default(),
         &JoinGraphConfig {
-            executor: Executor::new(threads),
             sel_cache_cap: 8,
             proj_cache_cap: 8,
             ..JoinGraphConfig::default()
@@ -214,104 +213,102 @@ fn concurrent_sessions_are_bit_identical_to_sequential_and_ledgers_reconcile() {
     const SESSIONS: usize = 6;
     const ROUNDS: usize = 2;
 
-    for threads in [1usize, 4] {
-        // ---- Concurrent run: N session threads + a seller update mid-run.
-        let market = Arc::new(Marketplace::new(
+    // ---- Concurrent run: N session threads + a seller update mid-run.
+    let market = Arc::new(Marketplace::new(
+        catalog_tables(),
+        EntropyPricing::default(),
+    ));
+    let mgr = SessionManager::new(
+        Arc::clone(&market),
+        SessionManagerConfig {
+            max_sessions: SESSIONS,
+            ..SessionManagerConfig::default()
+        },
+    );
+    let graph = shared_graph(&market);
+    let started = AtomicUsize::new(0);
+    let mut concurrent: Vec<SessionReport> = Vec::new();
+
+    std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        for s in 0..SESSIONS {
+            let mgr = &mgr;
+            let graph = &graph;
+            let started = &started;
+            handles.push(scope.spawn(move || {
+                started.fetch_add(1, Ordering::SeqCst);
+                run_session(mgr, graph, 1000 + s as u64, ROUNDS)
+            }));
+        }
+        // Land the seller update mid-run: after every session thread has
+        // started (and pinned v0 inside run_session — sessions that
+        // opened before the update keep shopping at v0 regardless of
+        // when the swap lands relative to their purchases).
+        while started.load(Ordering::SeqCst) < SESSIONS {
+            std::hint::spin_loop();
+        }
+        market
+            .apply_update(DatasetId(0), &update())
+            .expect("mid-flight update applies");
+        // Any snapshot taken after the swap is coherent too.
+        assert!(market.snapshot().is_coherent());
+        for h in handles {
+            concurrent.push(h.join().unwrap());
+        }
+    });
+
+    // Sessions raced the update: some may have pinned v0, some v1. All
+    // snapshots were coherent; replay each session at its pinned version.
+    assert_eq!(market.catalog_version(), 1);
+    let fresh = market.snapshot();
+    assert!(fresh.is_coherent());
+    assert_eq!(fresh.meta(DatasetId(0)).unwrap().version, 1);
+
+    // ---- Reconciliation: Σ per-session ledger spend == revenue, bitwise.
+    let mut by_id = concurrent.clone();
+    by_id.sort_by_key(|r| r.id);
+    let ledger_total = by_id.iter().fold(0.0, |acc, r| acc + r.spent);
+    assert_eq!(
+        ledger_total.to_bits(),
+        market.revenue().to_bits(),
+        "Σ session ledgers must equal marketplace revenue exactly"
+    );
+    for r in &by_id {
+        assert_eq!(
+            market.session_revenue(r.id).to_bits(),
+            r.spent.to_bits(),
+            "per-session stripe == session ledger"
+        );
+    }
+    let (samples, queries) = market.sales();
+    assert_eq!(samples, SESSIONS * ROUNDS);
+    assert_eq!(
+        queries,
+        concurrent
+            .iter()
+            .map(|r| r.purchases.len() - ROUNDS)
+            .sum::<usize>()
+    );
+
+    // ---- Determinism: replay every session alone, sequentially, on a
+    // marketplace driven to the same pinned version, and require
+    // bit-identical reports.
+    for report in &concurrent {
+        let market2 = Arc::new(Marketplace::new(
             catalog_tables(),
             EntropyPricing::default(),
         ));
-        let mgr = SessionManager::new(
-            Arc::clone(&market),
-            SessionManagerConfig {
-                max_sessions: SESSIONS,
-                ..SessionManagerConfig::default()
-            },
-        );
-        let graph = shared_graph(&market, threads);
-        let started = AtomicUsize::new(0);
-        let mut concurrent: Vec<SessionReport> = Vec::new();
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for s in 0..SESSIONS {
-                let mgr = &mgr;
-                let graph = &graph;
-                let started = &started;
-                handles.push(scope.spawn(move || {
-                    started.fetch_add(1, Ordering::SeqCst);
-                    run_session(mgr, graph, 1000 + s as u64, ROUNDS)
-                }));
-            }
-            // Land the seller update mid-run: after every session thread has
-            // started (and pinned v0 inside run_session — sessions that
-            // opened before the update keep shopping at v0 regardless of
-            // when the swap lands relative to their purchases).
-            while started.load(Ordering::SeqCst) < SESSIONS {
-                std::hint::spin_loop();
-            }
-            market
-                .apply_update(DatasetId(0), &update())
-                .expect("mid-flight update applies");
-            // Any snapshot taken after the swap is coherent too.
-            assert!(market.snapshot().is_coherent());
-            for h in handles {
-                concurrent.push(h.join().unwrap());
-            }
-        });
-
-        // Sessions raced the update: some may have pinned v0, some v1. All
-        // snapshots were coherent; replay each session at its pinned version.
-        assert_eq!(market.catalog_version(), 1);
-        let fresh = market.snapshot();
-        assert!(fresh.is_coherent());
-        assert_eq!(fresh.meta(DatasetId(0)).unwrap().version, 1);
-
-        // ---- Reconciliation: Σ per-session ledger spend == revenue, bitwise.
-        let mut by_id = concurrent.clone();
-        by_id.sort_by_key(|r| r.id);
-        let ledger_total = by_id.iter().fold(0.0, |acc, r| acc + r.spent);
-        assert_eq!(
-            ledger_total.to_bits(),
-            market.revenue().to_bits(),
-            "Σ session ledgers must equal marketplace revenue exactly"
-        );
-        for r in &by_id {
-            assert_eq!(
-                market.session_revenue(r.id).to_bits(),
-                r.spent.to_bits(),
-                "per-session stripe == session ledger"
-            );
+        if report.catalog_version == 1 {
+            market2.apply_update(DatasetId(0), &update()).unwrap();
         }
-        let (samples, queries) = market.sales();
-        assert_eq!(samples, SESSIONS * ROUNDS);
-        assert_eq!(
-            queries,
-            concurrent
-                .iter()
-                .map(|r| r.purchases.len() - ROUNDS)
-                .sum::<usize>()
-        );
-
-        // ---- Determinism: replay every session alone, sequentially, on a
-        // marketplace driven to the same pinned version, and require
-        // bit-identical reports.
-        for report in &concurrent {
-            let market2 = Arc::new(Marketplace::new(
-                catalog_tables(),
-                EntropyPricing::default(),
-            ));
-            if report.catalog_version == 1 {
-                market2.apply_update(DatasetId(0), &update()).unwrap();
-            }
-            let mgr2 = SessionManager::new(Arc::clone(&market2), SessionManagerConfig::default());
-            let graph2 = shared_graph(&market2, threads);
-            let solo = run_session(&mgr2, &graph2, report.seed, ROUNDS);
-            assert_reports_bit_equal(report, &solo);
-        }
-
-        let stats = mgr.stats();
-        assert_eq!(stats.opened, SESSIONS);
-        assert_eq!(stats.closed, SESSIONS);
-        assert_eq!(stats.open, 0);
+        let mgr2 = SessionManager::new(Arc::clone(&market2), SessionManagerConfig::default());
+        let graph2 = shared_graph(&market2);
+        let solo = run_session(&mgr2, &graph2, report.seed, ROUNDS);
+        assert_reports_bit_equal(report, &solo);
     }
+
+    let stats = mgr.stats();
+    assert_eq!(stats.opened, SESSIONS);
+    assert_eq!(stats.closed, SESSIONS);
+    assert_eq!(stats.open, 0);
 }

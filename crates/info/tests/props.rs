@@ -113,9 +113,8 @@ proptest! {
 
     /// Interned-symbol JI is **bit-exact** against the value-keyed reference
     /// on randomized typed/NULL table pairs — on the direct path
-    /// (both sides share registry dictionaries), the translator path (one or
-    /// both sides keep private dictionaries) and at thread counts {1, 4}
-    /// (the CI `DANCE_THREADS` matrix).
+    /// (both sides share registry dictionaries) and the translator path (one
+    /// or both sides keep private dictionaries).
     #[test]
     fn interned_ji_bit_exact_vs_keyed(a in arb_typed_table(), b in arb_typed_table()) {
         let reg = InternerRegistry::new();

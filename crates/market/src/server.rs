@@ -1,7 +1,7 @@
 //! `market::server` — a multi-worker TCP server exposing the acquisition
 //! session service over the [`crate::wire`] protocol.
 //!
-//! Architecture (std-only, like `dance-executor` — no async runtime):
+//! Architecture (std-only, no async runtime):
 //!
 //! * one **acceptor** thread takes connections off a `TcpListener` and
 //!   pushes them onto a bounded backlog queue — when the queue is full it

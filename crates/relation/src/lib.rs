@@ -55,10 +55,6 @@ pub mod value;
 
 pub use bitmap::Bitmap;
 pub use column::{Column, ColumnBuilder, ColumnCells, ColumnData, StrDict, StrDictReader};
-/// The coarse work-item executor, re-exported for the crates that name it
-/// (the join graph's re-weigh round runs over it); every kernel in this
-/// crate runs sequentially.
-pub use dance_executor::Executor;
 pub use delta::TableDelta;
 pub use error::{RelationError, Result};
 pub use group::{group_ids, Grouping};

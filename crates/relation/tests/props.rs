@@ -263,8 +263,7 @@ proptest! {
 
     /// The symbol-native selection join equals the value-keyed reference join
     /// bit-exact — every `JoinKind`, NULL join keys, multi-attribute `on`,
-    /// and shared (registry) vs private dictionaries, at forced-chunking
-    /// executors {1, 4} for the late-materialization tree driver.
+    /// and shared (registry) vs private dictionaries.
     #[test]
     fn sel_join_matches_legacy_keyed_join(
         l in arb_mixed_table(),

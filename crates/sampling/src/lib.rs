@@ -26,6 +26,4 @@ pub mod resample;
 pub use bernoulli::bernoulli_sample;
 pub use correlated::CorrelatedSampler;
 pub use estimators::{estimate_correlation, estimate_ji, estimate_quality, SampledPath};
-pub use resample::{
-    join_tree_bounded, join_tree_bounded_with, BoundedHook, ResampleConfig, ResampleStats,
-};
+pub use resample::{join_tree_bounded, BoundedHook, ResampleConfig, ResampleStats};

@@ -20,7 +20,7 @@
 use dance_relation::hash::{stable_hash64, unit_interval};
 use dance_relation::join::JoinEdge;
 use dance_relation::sel::{join_tree_late, TreeSel};
-use dance_relation::{Executor, Result, Table};
+use dance_relation::{Result, Table};
 
 /// Configuration of §3.2 re-sampling.
 #[derive(Debug, Clone, Copy)]
@@ -127,11 +127,13 @@ pub fn join_tree_bounded(
     Ok((joined, hook.into_stats()))
 }
 
-/// [`join_tree_bounded`]; `exec` is ignored, since the tree join runs
-/// sequentially. Kept with this signature because the end-to-end benchmark
-/// harness (`perfbench/`) calls it by this name.
+/// [`join_tree_bounded`] under another name. Exists only because the
+/// end-to-end benchmark harness (`perfbench/`) calls it by this name with
+/// the `()` of `JoinGraph::executor`; goes away with the in-crate
+/// acquisition tracing item of the ROADMAP.
+#[doc(hidden)]
 pub fn join_tree_bounded_with(
-    _exec: &Executor,
+    _: &(),
     tables: &[&Table],
     edges: &[JoinEdge],
     cfg: Option<&ResampleConfig>,

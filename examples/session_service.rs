@@ -9,7 +9,7 @@
 //! cargo run --release --example session_service
 //! ```
 
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 
 use dance::datagen::churn::churn_delta;
 use dance::datagen::tpce::TpceConfig;
@@ -39,28 +39,38 @@ fn main() {
         3
     );
 
-    // --- Three concurrent shopper sessions, each on its own thread. Every
-    // session pins the catalog version it opened at; purchases are seeded
-    // from (session seed, purchase index), so each report is reproducible
-    // from its config alone no matter how the threads interleave.
-    // Two barriers keep the story deterministic: all three sessions are open
-    // before the fourth shopper knocks, and none closes until it has been
-    // turned away.
-    let all_open = Barrier::new(4);
-    let turned_away = Barrier::new(4);
+    // --- Three concurrent shopper sessions. They open on the main thread in
+    // shopper order, so session ids follow the seeds; then each shops on its
+    // own thread. Every session pins the catalog version it opened at, and
+    // purchases are seeded from (session seed, purchase index), so each
+    // report is reproducible from its config alone no matter how the threads
+    // interleave.
+    let sessions: Vec<_> = (0..3)
+        .map(|s| {
+            mgr.open(SessionConfig {
+                budget: 40.0,
+                seed: 0xDA2CE + s,
+            })
+            .expect("under capacity")
+        })
+        .collect();
+
+    // A fourth shopper is rejected gracefully while all slots are taken.
+    match mgr.open(SessionConfig::default()) {
+        Err(SessionError::AtCapacity { open, max }) => {
+            println!("fourth shopper rejected gracefully: {open}/{max} sessions open")
+        }
+        Ok(_) => panic!("expected a capacity rejection"),
+        Err(e) => panic!("unexpected error: {e}"),
+    }
+
     let reports: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..3)
-            .map(|s| {
-                let (mgr, all_open, turned_away) = (&mgr, &all_open, &turned_away);
+        let handles: Vec<_> = sessions
+            .into_iter()
+            .enumerate()
+            .map(|(s, mut session)| {
+                let mgr = &mgr;
                 scope.spawn(move || {
-                    let mut session = mgr
-                        .open(SessionConfig {
-                            budget: 40.0,
-                            seed: 0xDA2CE + s,
-                        })
-                        .expect("under capacity");
-                    all_open.wait();
-                    turned_away.wait();
                     let meta = session.meta(DatasetId(s as u32)).unwrap().clone();
                     session
                         .buy_sample(meta.id, &meta.default_key, 0.3)
@@ -79,17 +89,6 @@ fn main() {
                 })
             })
             .collect();
-
-        // A fourth shopper is rejected gracefully while all slots are taken.
-        all_open.wait();
-        match mgr.open(SessionConfig::default()) {
-            Err(SessionError::AtCapacity { open, max }) => {
-                println!("fourth shopper rejected gracefully: {open}/{max} sessions open")
-            }
-            Ok(_) => panic!("expected a capacity rejection"),
-            Err(e) => panic!("unexpected error: {e}"),
-        }
-        turned_away.wait();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 

@@ -15,8 +15,6 @@
 //!   frames are answered from the replay cache, not re-executed;
 //! * **no slot leak**: after every client closes its session, the service
 //!   reports zero open sessions, however many connections died mid-run.
-//!
-//! Run under `DANCE_THREADS=1` and `=4` in CI.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -5,7 +5,7 @@
 //! response transcript is **byte-identical** to re-encoding the responses
 //! an in-process replay produces against the pinned snapshot, even with 8
 //! clients hammering the server concurrently and a seller update landing
-//! mid-run. Run under `DANCE_THREADS=1` and `=4` in CI.
+//! mid-run.
 
 use std::sync::{Arc, Barrier};
 
