@@ -34,8 +34,9 @@ use dance_market::{
     SessionManager, SessionManagerConfig,
 };
 use dance_quality::{discover_afds, quality, Fd, TaneConfig};
+use dance_relation::group::{column_codes, fold_codes};
 use dance_relation::join::{hash_join, JoinKind};
-use dance_relation::{AttrSet, InternerRegistry, Table, TableDelta, Value, ValueType};
+use dance_relation::{group_ids, AttrSet, InternerRegistry, Table, TableDelta, Value, ValueType};
 use dance_sampling::CorrelatedSampler;
 use std::hint::black_box;
 
@@ -53,6 +54,16 @@ fn tables() -> Vec<Table> {
 fn scale100_tables() -> Vec<Table> {
     tpch(&TpchConfig {
         scale: 100.0,
+        dirty_fraction: 0.3,
+        seed: 42,
+    })
+    .expect("generation")
+}
+
+/// The TPC-H instance the end-to-end benchmark prices (orders is 6000 rows).
+fn scale10_tables() -> Vec<Table> {
+    tpch(&TpchConfig {
+        scale: 10.0,
         dirty_fraction: 0.3,
         seed: 42,
     })
@@ -602,6 +613,29 @@ fn bench_kernels(c: &mut Criterion) {
         let s = CorrelatedSampler::new(0.3, 7);
         let on = AttrSet::from_names(["orderkey"]);
         b.iter(|| s.sample(black_box(lineitem), &on).unwrap())
+    });
+
+    // Grouping kernels at the size a quote prices: the hash maps here key on
+    // float bits and packed `(id, code)` pairs.
+    let ts10 = scale10_tables();
+    let orders10 = by_name(&ts10, "orders");
+
+    c.bench_function("group/orders_custkey_totalprice", |b| {
+        let attrs = AttrSet::from_names(["custkey", "o_totalprice"]);
+        b.iter(|| group_ids(black_box(orders10), &attrs).unwrap())
+    });
+
+    c.bench_function("group/fold_low_card_layer", |b| {
+        let custkey = orders10
+            .attr_indices(&AttrSet::from_names(["custkey"]))
+            .unwrap()[0];
+        let (ids, num) = column_codes(orders10.column(custkey));
+        let layer: Vec<u32> = (0..ids.len() as u32).map(|r| r % 5).collect();
+        b.iter(|| {
+            let (mut ids, mut num) = (ids.clone(), num);
+            fold_codes(&mut ids, &mut num, black_box(&layer));
+            num
+        })
     });
 }
 

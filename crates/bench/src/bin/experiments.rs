@@ -6,7 +6,9 @@
 //! cargo run -p dance-bench --release --bin experiments -- --scale 0.5 fig4
 //! ```
 
-use dance_bench::{exp_ablation, exp_correlation, exp_scalability, exp_tables};
+use dance_bench::{
+    exp_ablation, exp_correlation, exp_scalability, exp_tables, DEFAULT_SCALE, DEFAULT_SEED,
+};
 
 const ALL: &[&str] = &[
     "table5",
@@ -24,8 +26,8 @@ const ALL: &[&str] = &[
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = 0.3f64;
-    let mut seed = 42u64;
+    let mut scale = DEFAULT_SCALE;
+    let mut seed = DEFAULT_SEED;
     let mut wanted: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {

@@ -28,3 +28,8 @@ pub mod exp_scalability;
 pub mod exp_tables;
 pub mod fmt;
 pub mod setup;
+
+/// Scale factor the `experiments` binary runs at unless `--scale` is given.
+pub const DEFAULT_SCALE: f64 = 0.3;
+/// Seed the `experiments` binary runs with unless `--seed` is given.
+pub const DEFAULT_SEED: u64 = 42;

@@ -18,6 +18,13 @@
 //!   into a `u64` and are re-densified, so intermediate ids never grow past
 //!   `u32`.
 //!
+//! Both hashed key kinds keep their entropy in the high bits: a packed pair's
+//! `id` sits above bit 32, and cent-rounded floats repeat a few low mantissa
+//! bit patterns. The maps here are [`FxHashMap`]s, whose finalizer rotates the mixed
+//! high product bits down to where buckets are picked
+//! ([`crate::hash::FxMapHasher`]); without it these keys pile into a handful
+//! of buckets.
+//!
 //! Group ids are assigned in order of first occurrence, which makes the
 //! encoding deterministic and gives every group a natural representative row
 //! (its first row, [`Grouping::representatives`]). Consumers that only need

@@ -126,6 +126,25 @@ mod tests {
         .unwrap()
     }
 
+    /// Golden scores: a hasher edit that moved them would silently move
+    /// every correlated sample and everything estimated from it.
+    #[test]
+    fn scores_are_pinned() {
+        let s = CorrelatedSampler::new(0.3, 7);
+        let cases = [
+            (vec![Value::Int(1)], 0x3fe3_51cb_a8f7_3679u64),
+            (vec![Value::str("BUILDING")], 0x3fe9_3c29_0abe_cecf),
+            (
+                vec![Value::Float(1234.56), Value::Int(17)],
+                0x3fb1_5ed9_ca7d_bd68,
+            ),
+            (vec![Value::Null, Value::str("ASIA")], 0x3feb_0741_06fb_0101),
+        ];
+        for (key, bits) in cases {
+            assert_eq!(s.score(&key).to_bits(), bits, "{key:?}");
+        }
+    }
+
     #[test]
     fn rate_zero_and_one() {
         let t = keyed_table("t", "cs_k", 50, 2);
