@@ -16,7 +16,7 @@
 //! * incident-edge JI weights are re-derived from materialized per-pair-
 //!   category partial sums ([`PairPartials`]) patched by those change lists
 //!   — an O(changed categories) update of the category table, folded in the
-//!   same canonical order as [`ji_from_sym_counts`];
+//!   same canonical order as [`dance_info::ji::ji_from_sym_counts`];
 //! * cached pair selections touching the instance are *patched*, not
 //!   rebuilt ([`dance_relation::PairSel::patch_probe`] /
 //!   [`dance_relation::PairSel::patch_build`]) and re-keyed to the new
@@ -28,6 +28,7 @@
 //! selections, same downstream seeded search results. The win is purely
 //! algorithmic: O(delta) patching instead of O(sample) recounting.
 
+use crate::cache::lock_mut;
 use crate::join_graph::JoinGraph;
 use dance_info::ji::PairPartials;
 use dance_relation::{AttrSet, FxHashMap, Result, SymKey, TableDelta};
@@ -84,9 +85,8 @@ impl JoinGraph {
         // once; they are simply dropped and recomputed on the next miss.
         let gen_new = self.gens[ii] + 1;
         {
-            let taken = self
-                .sel_cache
-                .take_matching(|&(p, _, b, _, _)| p == i || b == i);
+            let sel_cache = lock_mut(&mut self.sel_cache);
+            let taken = sel_cache.take_matching(|&(p, _, b, _, _)| p == i || b == i);
             for ((p, pg, b, bg, on), old) in taken {
                 if p == b {
                     continue;
@@ -99,7 +99,7 @@ impl JoinGraph {
                         old.patch_build(&remap, &self.samples[p as usize], &after, n_surv, &on)?;
                     ((p, pg, b, gen_new, on), patched)
                 };
-                self.sel_cache.insert(key, Arc::new(patched));
+                sel_cache.insert(key, Arc::new(patched));
             }
         }
 
@@ -109,17 +109,17 @@ impl JoinGraph {
         // memory courtesy only.
         self.samples[ii] = after;
         self.gens[ii] = gen_new;
-        self.proj_cache.retain(|&(v, _, _)| v != i);
-        self.eval_memo.retain(|(scope, _)| !scope.touches(i));
+        lock_mut(&mut self.proj_cache).retain(|&(v, _, _)| v != i);
+        lock_mut(&mut self.eval_memo).retain(|(scope, _)| !scope.touches(i));
 
         // Maintain the per-pair-category partial sums: fold the change list
         // where one exists (the instance-side histogram was patched), else
         // rebuild from the two cached histograms. Directly-comparable pairs
         // only — private-dictionary pairs keep the translation fallback. A
-        // pair whose table the `partials_cache_cap` bound evicted, or whose
-        // histograms the `hist_cache_cap` bound evicted, is left without a
-        // table; the re-weigh round below then folds its (recounted)
-        // histograms instead. Either path produces the identical bits.
+        // pair whose table or histograms the `cache_cap` bound evicted is
+        // left without a table; the re-weigh round below then folds its
+        // (recounted) histograms instead. Either path produces the identical
+        // bits.
         let incident: Vec<u32> = self.adj[ii].clone();
         for &e in &incident {
             let (a, b) = (self.i_edges[e as usize].a, self.i_edges[e as usize].b);
@@ -331,7 +331,7 @@ mod tests {
         }
     }
 
-    /// The `partials_cache_cap` bound holds across consecutive delta waves,
+    /// The `cache_cap` bound holds across consecutive delta waves,
     /// and a capped (even fully disabled) partial-sum table never changes a
     /// weight bit: evicted pairs fall back to the patched-histogram fold,
     /// which is bit-identical to the maintained category table.
@@ -367,7 +367,7 @@ mod tests {
                 samples.clone(),
                 EntropyPricing::default(),
                 &JoinGraphConfig {
-                    partials_cache_cap: cap,
+                    cache_cap: cap,
                     ..JoinGraphConfig::default()
                 },
             )

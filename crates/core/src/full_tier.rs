@@ -6,7 +6,9 @@
 //! and carries each listed vertex's `(dataset, listing version)`. A listing
 //! version names one immutable table, so the two per-listing scalars an
 //! evaluation reads besides the join itself are memoized on the
-//! [`JoinGraph`] under keys built from those versions:
+//! [`JoinGraph`] (one locked stamped-LRU, bounded by
+//! [`crate::JoinGraphConfig::cache_cap`]) under keys built from those
+//! versions:
 //!
 //! * the entry price of a projection, keyed `(dataset, version, attrs)`;
 //! * the JI of a tree edge, keyed `(a, version a, b, version b, J)` in the
@@ -16,6 +18,7 @@
 //! Shopper-owned sources carry no version and are always recomputed. Full
 //! projections and histograms are never cached, so memory stays flat.
 
+use crate::cache::lock;
 use crate::join_graph::JoinGraph;
 use dance_info::ji::join_informativeness;
 use dance_market::{CatalogSnapshot, DatasetId, PricingModel};
@@ -132,24 +135,24 @@ impl JoinGraph {
         let Some(key) = key else {
             return compute();
         };
-        if let Some(x) = self.full_memo.get(&key) {
+        if let Some(&x) = lock(&self.full_memo).get(&key) {
             return Ok(x);
         }
         let x = compute()?;
-        self.full_memo.insert(key, x);
+        lock(&self.full_memo).insert(key, x);
         Ok(x)
     }
 
     /// Entries currently held by the full-tier memo (tests/benches),
-    /// bounded by [`crate::JoinGraphConfig::proj_cache_cap`].
+    /// bounded by [`crate::JoinGraphConfig::cache_cap`].
     pub fn full_memo_len(&self) -> usize {
-        self.full_memo.len()
+        lock(&self.full_memo).len()
     }
 
-    /// Lifetime `(hits, misses)` of the full-tier memo (relaxed counters;
-    /// observability only).
+    /// Lifetime `(hits, misses)` of the full-tier memo's lookups
+    /// (observability only).
     pub fn full_memo_stats(&self) -> (u64, u64) {
-        self.full_memo.stats()
+        lock(&self.full_memo).stats()
     }
 }
 

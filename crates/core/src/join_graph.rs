@@ -26,7 +26,7 @@
 //! partner samples. Eviction
 //! is two-fold: an instance's entries are dropped when its sample is replaced
 //! (staleness), and the cache is stamped-LRU bounded by
-//! [`JoinGraphConfig::hist_cache_cap`] total entries (memory bound) —
+//! [`JoinGraphConfig::cache_cap`] total entries (memory bound) —
 //! evicted histograms are simply recounted on the next round that needs
 //! them.
 //!
@@ -40,7 +40,7 @@
 //! [`ji_from_sym_counts`]. Either way no boxed key is built anywhere in
 //! `build`/`refresh_sample`.
 
-use crate::cache::{ShardedLru, StampedLru};
+use crate::cache::{lock, lock_mut, StampedLru};
 use crate::full_tier::FullKey;
 use crate::mcmc::{EvalKey, TargetGraph};
 use dance_info::ji::{ji_from_sym_counts, PairPartials};
@@ -49,25 +49,12 @@ use dance_relation::sym::MAX_SYM_KEY_ATTRS;
 use dance_relation::{
     pair_sel, sym_counts, AttrSet, FxHashMap, PairSel, RelationError, Result, SymCounts, Table,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-/// Default total-entry bound of the persistent histogram cache.
-pub const DEFAULT_HIST_CACHE_CAP: usize = 1024;
-
-/// Default bound on cached per-hop pair selections ([`JoinGraph::pair_sel`]).
-pub const DEFAULT_SEL_CACHE_CAP: usize = 256;
-
-/// Default bound on cached per-(instance, attr-set) projections + prices
-/// ([`JoinGraph::projected_for_eval`] / [`JoinGraph::price_for_eval`]).
-pub const DEFAULT_PROJ_CACHE_CAP: usize = 256;
-
-/// Default bound on materialized per-pair-category partial-sum tables
-/// (`apply_delta`'s incident-edge JI maintenance state).
-pub const DEFAULT_PARTIALS_CACHE_CAP: usize = 256;
-
-/// Default bound on the graph-wide MCMC evaluation memo
-/// ([`JoinGraph::eval_memo_len`]).
-pub const DEFAULT_EVAL_MEMO_CAP: usize = 512;
+/// Default entry bound of each of the graph's caches
+/// ([`JoinGraphConfig::cache_cap`]). Seeded TPC-H and TPC-E runs peak below
+/// 60 entries in every cache, so the default never binds on them.
+pub const DEFAULT_CACHE_CAP: usize = 256;
 
 /// Construction knobs for [`JoinGraph::build`].
 #[derive(Debug, Clone, Copy)]
@@ -77,40 +64,20 @@ pub struct JoinGraphConfig {
     /// larger shared sets fall back to singletons + the full set. Candidates
     /// wider than a symbol key ([`MAX_SYM_KEY_ATTRS`]) are skipped.
     pub max_enum_join_attrs: usize,
-    /// Upper bound on *total* cached histograms across all instances
-    /// (stamped-LRU; 0 disables). Without a bound the cache holds every
-    /// (instance, candidate-set) histogram ever probed — the build-time peak
-    /// made permanent.
-    pub hist_cache_cap: usize,
-    /// Upper bound on cached per-hop pair selections (the MCMC search's
-    /// selection cache, stamped-LRU like the histogram cache; 0 disables).
-    pub sel_cache_cap: usize,
-    /// Upper bound on cached sample projections / price estimates per
-    /// (instance, attribute set) (stamped-LRU; 0 disables). The full-tier
-    /// memo of exact prices and edge JIs ([`JoinGraph::full_price`],
-    /// [`JoinGraph::full_ji`]) has its own entries under the same bound.
-    pub proj_cache_cap: usize,
-    /// Upper bound on the materialized per-pair-category partial-sum tables
-    /// `apply_delta` maintains for O(changed categories) incident-edge JI
-    /// updates (stamped-LRU; 0 disables). An evicted pair transparently falls
-    /// back to the patched-histogram fold — same bits, more work per delta.
-    pub partials_cache_cap: usize,
-    /// Upper bound on the evaluation memo every MCMC search on the graph
-    /// shares: fully evaluated target graphs per (search scope, assignment)
-    /// (stamped-LRU; 0 disables memoization — the selection and projection
-    /// caches still apply).
-    pub eval_memo_cap: usize,
+    /// Entry bound of each of the graph's stamped-LRU caches: histograms,
+    /// JI partial sums, pair selections, projections/prices, the MCMC
+    /// evaluation memo and the full-tier memo, plus each MCMC walk's
+    /// pair-selection handles. 0 disables them all. A cap only trades
+    /// recomputation for memory: an evicted entry is recomputed on the next
+    /// miss with identical bits.
+    pub cache_cap: usize,
 }
 
 impl Default for JoinGraphConfig {
     fn default() -> Self {
         JoinGraphConfig {
             max_enum_join_attrs: 4,
-            hist_cache_cap: DEFAULT_HIST_CACHE_CAP,
-            sel_cache_cap: DEFAULT_SEL_CACHE_CAP,
-            proj_cache_cap: DEFAULT_PROJ_CACHE_CAP,
-            partials_cache_cap: DEFAULT_PARTIALS_CACHE_CAP,
-            eval_memo_cap: DEFAULT_EVAL_MEMO_CAP,
+            cache_cap: DEFAULT_CACHE_CAP,
         }
     }
 }
@@ -145,7 +112,7 @@ pub struct JoinGraph {
     /// instance's sample, one entry per candidate recently probed. Evicted on
     /// staleness (an instance's entries drop when its sample is refreshed —
     /// delta updates instead *patch* them, see `JoinGraph::apply_delta`) and
-    /// stamped-LRU bounded by [`JoinGraphConfig::hist_cache_cap`]. Entries
+    /// stamped-LRU bounded by [`JoinGraphConfig::cache_cap`]. Entries
     /// are `Arc` handles, so a re-weigh round keeps every histogram it reads
     /// alive even when its own inserts evict them.
     pub(crate) hists: StampedLru<(u32, AttrSet), Arc<SymCounts>>,
@@ -161,49 +128,46 @@ pub struct JoinGraph {
     /// only). Filled lazily by `apply_delta`, patched from per-candidate
     /// change lists on later deltas, and dropped whenever a full refresh
     /// replaces either endpoint's sample. Stamped-LRU bounded by
-    /// [`JoinGraphConfig::partials_cache_cap`]; an evicted pair is rebuilt
+    /// [`JoinGraphConfig::cache_cap`]; an evicted pair is rebuilt
     /// from its patched histograms on the next delta that needs it (bit-equal
     /// to the maintained table, just O(histogram) instead of O(delta)).
     pub(crate) partials: StampedLru<(u32, u32, AttrSet), PairPartials>,
     /// Per-hop selection cache: `(probe instance, probe generation, build
     /// instance, build generation, join attrs) → PairSel` over the two
-    /// samples. Filled through `&self` during the MCMC search and
-    /// stamped-LRU bounded, sharded by key hash (one lock per shard) so
-    /// concurrent chains share each other's selections instead of
-    /// serializing on one lock. The embedded generations make stale entries
-    /// unreachable the moment either side's sample changes;
-    /// [`Self::refresh_sample`] additionally sweeps them out eagerly, while
-    /// `apply_delta` *patches* them to the new generation instead.
-    pub(crate) sel_cache: ShardedLru<SelKey, Arc<PairSel>>,
+    /// samples. Filled through `&self` during the MCMC search, behind one
+    /// lock, and stamped-LRU bounded by [`JoinGraphConfig::cache_cap`]. The
+    /// embedded generations make stale entries unreachable the moment
+    /// either side's sample changes; [`Self::refresh_sample`] additionally
+    /// sweeps them out eagerly, while `apply_delta` *patches* them to the
+    /// new generation instead.
+    pub(crate) sel_cache: Mutex<StampedLru<SelKey, Arc<PairSel>>>,
     /// Projection/price cache per `(instance, generation, attribute set)`:
     /// the projected sample table and its entropy-price estimate, each
     /// filled lazily by whichever evaluation path first needs it. Same
-    /// sharding, bounding and staleness rules as `sel_cache`.
-    pub(crate) proj_cache: ShardedLru<(u32, u64, AttrSet), ProjEntry>,
+    /// locking, bounding and staleness rules as `sel_cache`.
+    pub(crate) proj_cache: Mutex<StampedLru<(u32, u64, AttrSet), ProjEntry>>,
     /// The MCMC evaluation memo, shared by every search, chain and request
     /// on the graph: `(search scope, assignment) → TargetGraph` (see
     /// [`crate::mcmc`] for what the key holds). The scope embeds each
     /// participating vertex's generation, so an entry built against a
     /// replaced sample is unreachable; [`Self::refresh_sample`] and
     /// `apply_delta` also sweep the entries touching the changed instance,
-    /// to free their memory. Same sharding and bounding as `sel_cache`.
-    pub(crate) eval_memo: ShardedLru<EvalKey, Arc<TargetGraph>>,
+    /// to free their memory. Same locking and bounding as `sel_cache`.
+    pub(crate) eval_memo: Mutex<StampedLru<EvalKey, Arc<TargetGraph>>>,
     /// Full-tier scalars (exact entry prices and edge JIs on full tables),
     /// keyed by the listing versions they read (see [`crate::full_tier`]).
     /// A listing version names one immutable table, so no upkeep ever
     /// touches this memo: a seller update just stops hitting old keys,
-    /// which age out. Same sharding as `proj_cache`, same bound.
-    pub(crate) full_memo: ShardedLru<FullKey, f64>,
+    /// which age out. Same locking and bounding as `sel_cache`.
+    pub(crate) full_memo: Mutex<StampedLru<FullKey, f64>>,
 }
 
 /// Selection-cache key: `(probe instance, probe generation, build instance,
 /// build generation, join attrs)`.
 pub(crate) type SelKey = (u32, u64, u32, u64, AttrSet);
 
-/// One projection-cache entry; both fields fill in lazily. Cloning is two
-/// `Option` copies (the table is an `Arc` handle), so the sharded cache's
-/// clone-out reads stay cheap.
-#[derive(Debug, Default, Clone)]
+/// One projection-cache entry; both fields fill in lazily.
+#[derive(Debug)]
 pub(crate) struct ProjEntry {
     table: Option<Arc<Table>>,
     price: Option<f64>,
@@ -261,12 +225,12 @@ impl JoinGraph {
             weights: FxHashMap::default(),
             candidates,
             pricing,
-            hists: StampedLru::new(cfg.hist_cache_cap),
-            partials: StampedLru::new(cfg.partials_cache_cap),
-            sel_cache: ShardedLru::new(cfg.sel_cache_cap),
-            proj_cache: ShardedLru::new(cfg.proj_cache_cap),
-            eval_memo: ShardedLru::new(cfg.eval_memo_cap),
-            full_memo: ShardedLru::new(cfg.proj_cache_cap),
+            hists: StampedLru::new(cfg.cache_cap),
+            partials: StampedLru::new(cfg.cache_cap),
+            sel_cache: Mutex::new(StampedLru::new(cfg.cache_cap)),
+            proj_cache: Mutex::new(StampedLru::new(cfg.cache_cap)),
+            eval_memo: Mutex::new(StampedLru::new(cfg.cache_cap)),
+            full_memo: Mutex::new(StampedLru::new(cfg.cache_cap)),
         };
         let all: Vec<u32> = (0..graph.i_edges.len() as u32).collect();
         graph.reweigh(&all)?;
@@ -356,7 +320,7 @@ impl JoinGraph {
     }
 
     /// Total histograms currently held by the persistent cache (bounded by
-    /// [`JoinGraphConfig::hist_cache_cap`]).
+    /// [`JoinGraphConfig::cache_cap`]).
     pub fn hist_cache_len(&self) -> usize {
         self.hists.len()
     }
@@ -405,9 +369,9 @@ impl JoinGraph {
         self.gens[i as usize] += 1;
         self.hists.retain(|&(v, _)| v != i);
         self.partials.retain(|&(a, b, _)| a != i && b != i);
-        self.sel_cache.retain(|&(a, _, b, _, _)| a != i && b != i);
-        self.proj_cache.retain(|&(v, _, _)| v != i);
-        self.eval_memo.retain(|(scope, _)| !scope.touches(i));
+        lock_mut(&mut self.sel_cache).retain(|&(a, _, b, _, _)| a != i && b != i);
+        lock_mut(&mut self.proj_cache).retain(|&(v, _, _)| v != i);
+        lock_mut(&mut self.eval_memo).retain(|(scope, _)| !scope.touches(i));
         let incident = self.adj[i as usize].clone();
         self.reweigh(&incident)
     }
@@ -464,10 +428,7 @@ impl JoinGraph {
     /// entries to the new generation — and re-composed by every MCMC
     /// proposal whose tree keeps this hop. Misses recompute transparently
     /// (one build plus probe over the two samples); the cache is
-    /// stamped-LRU bounded by
-    /// [`JoinGraphConfig::sel_cache_cap`] and sharded by key hash, so
-    /// concurrent chains reuse each other's selections with contention only
-    /// on same-shard keys.
+    /// stamped-LRU bounded by [`JoinGraphConfig::cache_cap`].
     pub fn pair_sel(&self, probe: u32, build: u32, on: &AttrSet) -> Result<Arc<PairSel>> {
         let key = (
             probe,
@@ -476,18 +437,18 @@ impl JoinGraph {
             self.gens[build as usize],
             on.clone(),
         );
-        if let Some(p) = self.sel_cache.get(&key) {
+        if let Some(p) = lock(&self.sel_cache).get(&key).cloned() {
             return Ok(p);
         }
-        // Compute outside any shard lock: a miss costs a full build + probe,
-        // and concurrent searches must not serialize on it (a racing
-        // duplicate computes the identical selection).
+        // Compute outside the lock: a miss costs a full build + probe, and
+        // concurrent searches must not serialize on it (a racing duplicate
+        // computes the identical selection).
         let pair = Arc::new(pair_sel(
             &self.samples[probe as usize],
             &self.samples[build as usize],
             on,
         )?);
-        self.sel_cache.insert(key, Arc::clone(&pair));
+        lock(&self.sel_cache).insert(key, Arc::clone(&pair));
         Ok(pair)
     }
 
@@ -507,13 +468,16 @@ impl JoinGraph {
             return Ok(Arc::new(full[v as usize].project(attrs)?));
         }
         let key = (v, self.gens[v as usize], attrs.clone());
-        if let Some(t) = self.proj_cache.get(&key).and_then(|e| e.table) {
+        let hit = lock(&self.proj_cache)
+            .get(&key)
+            .and_then(|e| e.table.clone());
+        if let Some(t) = hit {
             return Ok(t);
         }
-        // Project outside any shard lock; a racing duplicate projects the
-        // identical table and the write below folds into whichever entry won.
+        // Project outside the lock; a racing duplicate projects the identical
+        // table and the write below folds into whichever entry won.
         let t = Arc::new(self.samples[v as usize].project(attrs)?);
-        self.proj_cache.update_or_insert(
+        lock(&self.proj_cache).update_or_insert(
             key,
             |e| e.table = Some(Arc::clone(&t)),
             || ProjEntry {
@@ -534,11 +498,12 @@ impl JoinGraph {
             return self.pricing.price(&full[v as usize], attrs);
         }
         let key = (v, self.gens[v as usize], attrs.clone());
-        if let Some(p) = self.proj_cache.get(&key).and_then(|e| e.price) {
+        let hit = lock(&self.proj_cache).get(&key).and_then(|e| e.price);
+        if let Some(p) = hit {
             return Ok(p);
         }
         let p = self.price(v, attrs)?;
-        self.proj_cache.update_or_insert(
+        lock(&self.proj_cache).update_or_insert(
             key,
             |e| e.price = Some(p),
             || ProjEntry {
@@ -559,73 +524,67 @@ impl JoinGraph {
 
     /// Materialized per-pair-category partial-sum tables currently held for
     /// incident-edge JI maintenance (tests/benches), bounded by
-    /// [`JoinGraphConfig::partials_cache_cap`].
+    /// [`JoinGraphConfig::cache_cap`].
     pub fn partials_len(&self) -> usize {
         self.partials.len()
     }
 
-    /// Entries currently held by the selection cache (tests/benches),
-    /// **aggregated across all shards** — the cache is sharded by key hash
-    /// with one lock per shard, and the per-shard caps sum exactly to
-    /// [`JoinGraphConfig::sel_cache_cap`], so this total never exceeds the
-    /// configured bound.
+    /// Entries currently held by the selection cache (tests/benches), never
+    /// more than [`Self::cache_cap`].
     pub fn sel_cache_len(&self) -> usize {
-        self.sel_cache.len()
+        lock(&self.sel_cache).len()
     }
 
-    /// The selection cache's **total** entry bound across all shards
-    /// ([`JoinGraphConfig::sel_cache_cap`]) — the MCMC engine sizes its
-    /// per-walk handle table to it, so the knob bounds resident pair
-    /// selections during a walk too.
-    pub fn sel_cache_cap(&self) -> usize {
-        self.sel_cache.cap()
+    /// The entry bound of each cache ([`JoinGraphConfig::cache_cap`]). The
+    /// MCMC engine sizes its per-walk handle table to it, so the knob bounds
+    /// resident pair selections during a walk too.
+    pub fn cache_cap(&self) -> usize {
+        self.hists.cap()
     }
 
-    /// Entries currently held by the projection/price cache (tests/benches),
-    /// aggregated across all shards (same layout as the selection cache).
+    /// Entries currently held by the projection/price cache (tests/benches).
     pub fn proj_cache_len(&self) -> usize {
-        self.proj_cache.len()
+        lock(&self.proj_cache).len()
     }
 
-    /// Lifetime `(hits, misses)` of the selection cache, summed over shards
-    /// (relaxed counters; observability only — hit-rate deltas for the
-    /// multi-chain bench evidence).
+    /// Lifetime `(hits, misses)` of the selection cache's lookups
+    /// (observability only).
     pub fn sel_cache_stats(&self) -> (u64, u64) {
-        self.sel_cache.stats()
+        lock(&self.sel_cache).stats()
     }
 
-    /// Lifetime `(hits, misses)` of the projection/price cache, summed over
-    /// shards (relaxed counters; observability only).
+    /// Lifetime `(hits, misses)` of the projection/price cache's lookups
+    /// (observability only). A lookup that finds the entry counts as a hit
+    /// even when the field it wants has not been filled yet.
     pub fn proj_cache_stats(&self) -> (u64, u64) {
-        self.proj_cache.stats()
+        lock(&self.proj_cache).stats()
     }
 
     /// Entries currently held by the graph-wide MCMC evaluation memo
-    /// (tests/benches), aggregated across shards; never exceeds
-    /// [`JoinGraphConfig::eval_memo_cap`].
+    /// (tests/benches), never more than [`Self::cache_cap`].
     pub fn eval_memo_len(&self) -> usize {
-        self.eval_memo.len()
+        lock(&self.eval_memo).len()
     }
 
-    /// Lifetime `(hits, misses)` of the evaluation memo, summed over shards
-    /// (relaxed counters; observability only). A miss is one full state
-    /// evaluation: sample join, CORR and quality.
+    /// Lifetime `(hits, misses)` of the evaluation memo (observability
+    /// only). A miss is one full state evaluation: sample join, CORR and
+    /// quality.
     pub fn eval_memo_stats(&self) -> (u64, u64) {
-        self.eval_memo.stats()
+        lock(&self.eval_memo).stats()
     }
 
     /// Drop every cached selection, projection, price, memoized evaluation
-    /// and full-tier scalar (every shard of the four caches) — the cold-path
+    /// and full-tier scalar — the cold-path
     /// baseline for benches and the fresh-vs-cached pinning tests.
     /// Production code never needs this: stale entries are unreachable by
     /// construction (cache keys embed the sample generations or listing
     /// versions they were built against), so correctness never depends on
     /// clearing anything.
     pub fn clear_eval_caches(&self) {
-        self.sel_cache.retain(|_| false);
-        self.proj_cache.retain(|_| false);
-        self.eval_memo.retain(|_| false);
-        self.full_memo.retain(|_| false);
+        lock(&self.sel_cache).retain(|_| false);
+        lock(&self.proj_cache).retain(|_| false);
+        lock(&self.eval_memo).retain(|_| false);
+        lock(&self.full_memo).retain(|_| false);
     }
 
     /// Does nothing; exists only because the end-to-end benchmark harness
@@ -933,7 +892,7 @@ mod tests {
     /// `true` iff some memoized evaluation of `g` reads instance `v`.
     fn memo_touches(g: &JoinGraph, v: u32) -> bool {
         let found = std::cell::Cell::new(false);
-        g.eval_memo.retain(|(scope, _)| {
+        lock(&g.eval_memo).retain(|(scope, _)| {
             found.set(found.get() || scope.touches(v));
             true
         });
@@ -980,16 +939,15 @@ mod tests {
     /// (and are served) when the cap leaves room, and the warm searches
     /// equal searches on a rebuilt graph.
     #[test]
-    fn hist_cache_cap_holds_across_refresh_rounds() {
+    fn cache_cap_holds_across_refresh_rounds() {
         let base = toy_graph();
-        for cap in [0usize, 1, 2, 4, DEFAULT_EVAL_MEMO_CAP] {
+        for cap in [0usize, 1, 2, 4, DEFAULT_CACHE_CAP] {
             let mut g = JoinGraph::build(
                 base.metas.clone(),
                 base.samples.clone(),
                 EntropyPricing::default(),
                 &JoinGraphConfig {
-                    hist_cache_cap: cap,
-                    eval_memo_cap: cap,
+                    cache_cap: cap,
                     ..JoinGraphConfig::default()
                 },
             )
@@ -1021,7 +979,7 @@ mod tests {
                     "cap {cap} violated after refresh {round}"
                 );
                 assert_weights_match_rebuild(&g, &format!("refresh at cap {cap} round {round}"));
-                if cap == DEFAULT_EVAL_MEMO_CAP {
+                if cap == DEFAULT_CACHE_CAP {
                     assert!(memo_touches(&g, 0), "instance-0 entries survive");
                 }
                 assert_memo_coherent(&g, 1, cap, &format!("refresh at cap {cap} round {round}"));
@@ -1039,7 +997,7 @@ mod tests {
                     "cap {cap} violated after delta {round}"
                 );
                 assert_weights_match_rebuild(&g, &format!("delta at cap {cap} round {round}"));
-                if cap == DEFAULT_EVAL_MEMO_CAP {
+                if cap == DEFAULT_CACHE_CAP {
                     assert!(memo_touches(&g, 1), "instance-1 entries survive");
                 }
                 assert_memo_coherent(&g, 0, cap, &format!("delta at cap {cap} round {round}"));
@@ -1059,8 +1017,7 @@ mod tests {
                 base.samples.clone(),
                 EntropyPricing::default(),
                 &JoinGraphConfig {
-                    sel_cache_cap: cap,
-                    proj_cache_cap: cap,
+                    cache_cap: cap,
                     ..JoinGraphConfig::default()
                 },
             )

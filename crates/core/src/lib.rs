@@ -41,10 +41,7 @@ pub mod target;
 pub use dance::{Dance, DanceConfig};
 pub use full_tier::FullTier;
 pub use igraph::IGraph;
-pub use join_graph::{
-    JoinGraph, JoinGraphConfig, DEFAULT_EVAL_MEMO_CAP, DEFAULT_HIST_CACHE_CAP,
-    DEFAULT_PARTIALS_CACHE_CAP, DEFAULT_PROJ_CACHE_CAP, DEFAULT_SEL_CACHE_CAP,
-};
+pub use join_graph::{JoinGraph, JoinGraphConfig, DEFAULT_CACHE_CAP};
 pub use mcmc::{chain_seed, McmcConfig, TargetGraph};
 pub use plan::{AcquisitionPlan, PlanMetrics};
 pub use request::{AcquisitionRequest, Constraints};

@@ -1,8 +1,8 @@
-//! Threaded stress test of the multi-chain search over the sharded
+//! Threaded stress test of the multi-chain search over the graph's locked
 //! evaluation caches: several searcher threads hammer 8-chain searches on a
 //! shared `RwLock<JoinGraph>` while a seller update (`apply_delta`) lands
 //! mid-loop from the writer. Pins three things: no deadlock between the
-//! shard locks of searchers sharing one graph, the cache cap invariants
+//! cache locks of searchers sharing one graph, the cache cap invariants
 //! under concurrent insert/evict pressure, and that a search after the
 //! mid-flight update is bit-identical to a search on a freshly built
 //! post-update catalog.
@@ -155,8 +155,7 @@ fn concurrent_multi_chain_searches_survive_a_mid_flight_update() {
             EntropyPricing::default(),
             &JoinGraphConfig {
                 // Small caps so the stress actually churns evictions.
-                sel_cache_cap: 8,
-                proj_cache_cap: 8,
+                cache_cap: 8,
                 ..JoinGraphConfig::default()
             },
         )
@@ -175,12 +174,12 @@ fn concurrent_multi_chain_searches_survive_a_mid_flight_update() {
                 for round in 0..ROUNDS {
                     let g = graph.read().unwrap();
                     // 8 chains share one memo; the searcher threads
-                    // hammer the sharded selection/projection caches
+                    // hammer the selection/projection caches
                     // concurrently.
                     let found = search(&g, (s * ROUNDS + round) as u64, 8);
                     assert!(found.is_some(), "unconstrained search found a graph");
                     assert!(
-                        g.sel_cache_len() <= g.sel_cache_cap(),
+                        g.sel_cache_len() <= g.cache_cap(),
                         "selection cache exceeded its cap under contention"
                     );
                     assert!(g.proj_cache_len() <= 8, "projection cache exceeded its cap");
@@ -203,7 +202,7 @@ fn concurrent_multi_chain_searches_survive_a_mid_flight_update() {
 
     // Post-update searches on the long-lived graph must equal searches
     // on a catalog freshly built over the patched tables — the update
-    // invalidated exactly the stale shard entries and nothing else.
+    // invalidated exactly the stale cache entries and nothing else.
     let updated = graph.into_inner().unwrap();
     let mut patched = samples.clone();
     patched[0] = patched[0].apply_delta(&update()).unwrap();

@@ -227,7 +227,7 @@ proptest! {
     /// the cache never exceeds the cap, and weights stay bit-identical to a
     /// from-scratch rebuild over the current samples.
     #[test]
-    fn hist_cache_cap_property(catalog in arb_catalog(), cap in 0usize..8, waves in 1usize..4) {
+    fn hist_cache_bound_property(catalog in arb_catalog(), cap in 0usize..8, waves in 1usize..4) {
         let (metas, mut samples) = catalog;
         let build = |samples: &[Table], cap: usize| {
             JoinGraph::build(
@@ -235,14 +235,14 @@ proptest! {
                 samples.to_vec(),
                 EntropyPricing::default(),
                 &JoinGraphConfig {
-                    hist_cache_cap: cap,
+                    cache_cap: cap,
                     ..JoinGraphConfig::default()
                 },
             )
             .unwrap()
         };
         let assert_rebuilt = |g: &JoinGraph, samples: &[Table]| -> Result<(), TestCaseError> {
-            let rebuilt = build(samples, dance_core::DEFAULT_HIST_CACHE_CAP);
+            let rebuilt = build(samples, dance_core::DEFAULT_CACHE_CAP);
             for (a, b) in g.i_edges().iter().zip(rebuilt.i_edges()) {
                 prop_assert_eq!(a.weight.to_bits(), b.weight.to_bits());
                 for cand in g.candidate_join_sets(a.a, a.b) {

@@ -99,7 +99,7 @@ fn catalog_tables() -> Vec<Table> {
 
 /// The shared shopper-side join graph every session searches: built once
 /// over the (free) evaluation tables, with small cache caps so concurrent
-/// sessions genuinely churn the sharded eval caches.
+/// sessions genuinely churn the eval caches.
 fn shared_graph(market: &Marketplace) -> JoinGraph {
     let metas: Vec<DatasetMeta> = market.catalog();
     let tables: Vec<Table> = metas
@@ -117,8 +117,7 @@ fn shared_graph(market: &Marketplace) -> JoinGraph {
         tables,
         EntropyPricing::default(),
         &JoinGraphConfig {
-            sel_cache_cap: 8,
-            proj_cache_cap: 8,
+            cache_cap: 8,
             ..JoinGraphConfig::default()
         },
     )

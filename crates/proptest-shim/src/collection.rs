@@ -10,7 +10,7 @@ pub fn vec<S: Strategy>(element: S, len: Range<usize>) -> VecStrategy<S> {
     VecStrategy { element, len }
 }
 
-/// Output of [`vec`].
+/// Output of [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     len: Range<usize>,

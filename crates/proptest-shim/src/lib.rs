@@ -2,7 +2,7 @@
 //!
 //! The build container has no registry access, so this shim implements the
 //! subset of proptest the workspace's tests use: the [`proptest!`] macro over
-//! named strategies, range and tuple strategies, [`Strategy::prop_map`],
+//! named strategies, range and tuple strategies, [`strategy::Strategy::prop_map`],
 //! `prop::collection::vec`, [`test_runner::ProptestConfig::with_cases`], and
 //! the `prop_assert*` / `prop_assume` macros. Cases are generated from a
 //! deterministic per-test RNG (seeded by the test's module path and name), so

@@ -230,7 +230,7 @@ impl Table {
         }
     }
 
-    /// Apply a [`TableDelta`]: drop its deleted row ids (survivors keep their
+    /// Apply a [`TableDelta`](crate::TableDelta): drop its deleted row ids (survivors keep their
     /// relative order), then append its inserted rows at the tail. Dictionaries
     /// are shared with `self` via `Arc`, and inserted `Str` values intern into
     /// that existing code space — so the result's symbol histograms stay
